@@ -19,11 +19,25 @@ so with alpha = -s**2 the parameter solve is the scalar root of
 P(s) = 3*s**4 - 4*sqrt(pi)*s**3 + 6*t on the branch s -> 0 as t -> 0. Small-t
 expansions: alpha = -(9/(4*pi))**(1/3) * t**(2/3) + ..., beta =
 (12*pi)**(1/3) * t**(1/3) + ..., hence lambda is Lip(1/3) at 0, never Lip(1/2).
+
+The root is found by Newton's method started from the Lagrange-inversion
+series of s. P = 0 reads s * (1 - a*s)**(1/3) = v with a = 3/(4*sqrt(pi)) and
+v = (3*t/(2*sqrt(pi)))**(1/3), so s = sum_n c_n v**n with
+
+    c_n = a**(n-1)/n * Gamma(4n/3 - 1) / (Gamma(n/3) * (n-1)!),
+
+c_1 = 1, c_2 = 1/(4*sqrt(pi)), convergent up to the branch end t = pi**2/6.
+The degree-4 partial sum is exact to rounding for t below about 1e-10 and
+leaves a relative error of 4e-4 at t = 0.05. Newton stops on the
+relative residual |P| <= 1e-14 * min(1, 6t), since P is of size 6t (an absolute
+test would accept s = 0 once 6t <= 1e-14), and returns the iterate one step
+past the accepted one.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +51,20 @@ from .errors import DomainError, PoleError, RootFindingError
 T_MAX_DEFAULT = 0.05
 
 _SQRT_PI = math.sqrt(math.pi)
+_FOUR_SQRT_PI = 4.0 * _SQRT_PI
+#: end of the small-root branch: P has a double root at s = sqrt(pi) there
+_BRANCH_END = math.pi ** 2 / 6.0
 _NEWTON_RESIDUAL_TOL = 1e-14
 _NEWTON_MAX_ITER = 60
+_TOL_FLOOR = sys.float_info.min
+
+# v**3 = _V3_PER_T * t, and c_2..c_4 of the inversion series s = v + c_2 v**2 + ...
+_V3_PER_T = 3.0 / (2.0 * _SQRT_PI)
+_C2, _C3, _C4 = (
+    (3.0 / _FOUR_SQRT_PI) ** (n - 1) / n
+    * math.gamma(4.0 * n / 3.0 - 1.0) / (math.gamma(n / 3.0) * math.factorial(n - 1))
+    for n in (2, 3, 4)
+)
 
 
 @dataclass(frozen=True)
@@ -71,52 +97,60 @@ def series_coefficients() -> SeriesCoefficients:
     )
 
 
+def _root_s(t: float) -> float:
+    """s = sqrt(-alpha(t)), the root of P(s) = 3 s^4 - 4 sqrt(pi) s^3 + 6 t in [0, sqrt(pi)).
+
+    Valid for 0 <= t < pi**2/6; callers check the domain.
+    """
+    if t == 0.0:
+        return 0.0
+    v = (_V3_PER_T * t) ** (1.0 / 3.0)
+    # every c_n is positive, so the partial sum lies in (0, s] inside the bracket
+    s = v * (1.0 + v * (_C2 + v * (_C3 + v * _C4)))
+    six_t = 6.0 * t
+    tol = _NEWTON_RESIDUAL_TOL * six_t if six_t < 1.0 else _NEWTON_RESIDUAL_TOL
+    if tol < _TOL_FLOOR:
+        # subnormal P carries fewer than 53 bits; the series start is exact to
+        # double precision long before t gets this small
+        tol = _TOL_FLOOR
+    lo, hi = 0.0, _SQRT_PI  # P(lo) = 6t > 0, P(hi) = 6t - pi**2 < 0
+    for _ in range(_NEWTON_MAX_ITER):
+        s2 = s * s
+        residual = (3.0 * s - _FOUR_SQRT_PI) * s2 * s + six_t
+        if residual > 0.0:
+            lo = s
+        else:
+            hi = s
+        # P' = 12 s^2 (s - sqrt(pi)) is negative inside the bracket
+        s_next = s - residual / (12.0 * s2 * (s - _SQRT_PI))
+        if abs(residual) <= tol:
+            # return the sharpened iterate: one more Newton step from an accepted
+            # s takes |P| down to rounding level, well inside the tolerance
+            return s_next
+        if not (lo < s_next < hi):
+            s_next = 0.5 * (lo + hi)
+        if s_next == s:
+            if abs(residual) <= 10.0 * tol:
+                return s
+            break
+        s = s_next
+    raise RootFindingError(f"prevertex solve did not converge at t={t!r}")
+
+
 def solve_params(t: float, *, t_max: float = T_MAX_DEFAULT) -> SlitParams:
     """Prevertices (alpha, beta, gamma) of the tangent slit at time t.
 
     Safeguarded Newton on P(s) = 3 s^4 - 4 sqrt(pi) s^3 + 6 t for s = sqrt(-alpha),
     tracking the small root (bracketed in (0, sqrt(pi)), where P changes sign),
-    from the initial guess s = (3 t / (2 sqrt(pi)))**(1/3).
+    from the degree-4 Lagrange-inversion series of s in v = (3 t / (2 sqrt(pi)))**(1/3).
+    It takes at least one Newton step and stops at |P| <= 1e-14 * min(1, 6t),
+    so alpha and beta keep full relative accuracy down to the smallest t.
     """
     t = float(t)
-    if not (0.0 <= t <= t_max):
-        raise DomainError(f"t={t!r} outside the tangent-slit domain [0, {t_max!r}]")
-    if t_max >= math.pi ** 2 / 6.0:
-        raise DomainError("t_max must stay below pi**2/6, where the small root branch ends")
-    if t == 0.0:
-        return SlitParams(0.0, 0.0, 0.0, 0.0)
-
-    def p(s):
-        return 3.0 * s**4 - 4.0 * _SQRT_PI * s**3 + 6.0 * t
-
-    def dp(s):
-        return 12.0 * s**3 - 12.0 * _SQRT_PI * s**2
-
-    lo, hi = 0.0, _SQRT_PI  # p(lo) = 6t > 0, p(hi) = 6t - pi**2 < 0
-    s = min(max((3.0 * t / (2.0 * _SQRT_PI)) ** (1.0 / 3.0), 1e-300), hi * 0.999)
-    converged = False
-    for iteration in range(_NEWTON_MAX_ITER):
-        residual = p(s)
-        # require one sharpening step even when the initial guess already sits
-        # below the absolute residual tolerance (tiny t)
-        if abs(residual) <= _NEWTON_RESIDUAL_TOL and iteration > 0:
-            converged = True
-            break
-        if residual > 0:
-            lo = s
-        else:
-            hi = s
-        slope = dp(s)
-        s_next = s - residual / slope if slope != 0.0 else 0.5 * (lo + hi)
-        if not (lo < s_next < hi):
-            s_next = 0.5 * (lo + hi)
-        if abs(s_next - s) <= 1e-17 * max(1.0, s):
-            s = s_next
-            converged = abs(p(s)) <= 10.0 * _NEWTON_RESIDUAL_TOL
-            break
-        s = s_next
-    if not converged:
-        raise RootFindingError(f"prevertex solve did not converge at t={t!r}")
+    if not (0.0 <= t <= t_max and t < _BRANCH_END):
+        raise DomainError(f"t={t!r} outside the tangent-slit domain [0, {t_max!r}] "
+                          "(and below pi**2/6, where the small root branch ends)")
+    s = _root_s(t)
     alpha = -s * s
     beta = alpha + 2.0 * s * _SQRT_PI
     return SlitParams(t, alpha, beta, 2.0 * alpha + beta)
@@ -157,13 +191,6 @@ def driving_term(t: float, *, t_max: float = T_MAX_DEFAULT) -> float:
     return solve_params(t, t_max=t_max).gamma_prevertex
 
 
-def scaled_driving_term(r: float, t: float, *, t_max: float = T_MAX_DEFAULT) -> float:
-    """Driving term of the radius-r tangent circular slit: r * lambda_1(t / r**2)."""
-    if r <= 0:
-        raise ValueError("radius r must be positive")
-    return r * driving_term(t / (r * r), t_max=t_max)
-
-
 class TangentTerm(DrivingTerm):
     """Driving term of the circular slit of radius r tangent to the real axis at 0."""
 
@@ -172,12 +199,19 @@ class TangentTerm(DrivingTerm):
         super().__init__(offset)
         if radius <= 0:
             raise ValueError("radius must be positive")
+        if t_max >= _BRANCH_END:
+            raise DomainError("t_max must stay below pi**2/6, where the small root branch ends")
         self.radius = float(radius)
         self.t_max = float(t_max)
-        self.domain_end = self.t_max * self.radius ** 2
+        self._r2 = self.radius ** 2
+        self.domain_end = self.t_max * self._r2
 
     def _raw(self, t: float) -> float:
-        return self.radius * driving_term(t / self.radius ** 2, t_max=self.t_max)
+        # lambda_r(t) = r * gamma(t / r**2), straight from s: this runs once per
+        # ODE stage, and _clip_time has already checked t against domain_end
+        s = _root_s(t / self._r2)
+        alpha = -s * s
+        return self.radius * (2.0 * alpha + (alpha + 2.0 * s * _SQRT_PI))
 
     def spec_string(self) -> str:
         return f"tangent:{self.radius!r}"

@@ -1,13 +1,15 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from loewner import DomainError, PoleError
 from loewner.halfplane import evolve_interior
 from loewner.tangent import (T_MAX_DEFAULT, TangentTerm, driving_term, evaluate_map,
-                             scaled_driving_term, series_coefficients, solve_params)
+                             series_coefficients, solve_params)
 
 
 def test_series_coefficients_arithmetic():
@@ -166,10 +168,60 @@ def test_ode_cross_check_against_map():
 
 
 def test_scaled_term_identities():
-    assert scaled_driving_term(1.0, 0.01) == driving_term(0.01)
+    assert TangentTerm(1.0).value(0.01) == driving_term(0.01)
     t_prime = 0.003
-    assert scaled_driving_term(2.0, 4.0 * t_prime) == pytest.approx(
+    assert TangentTerm(2.0).value(4.0 * t_prime) == pytest.approx(
         2.0 * driving_term(t_prime), rel=1e-14)
+
+
+def test_params_match_mpmath_down_to_tiny_t():
+    # an absolute residual test is looser than P's own scale 6t for t below
+    # about 1e-12 and loses alpha's relative accuracy there
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(50):
+        sqrt_pi = mpmath.sqrt(mpmath.pi)
+        for t in np.geomspace(1e-16, T_MAX_DEFAULT, 400):
+            p = solve_params(float(t))
+            tm = mpmath.mpf(float(t))
+            s = mpmath.findroot(lambda x: 3 * x ** 4 - 4 * sqrt_pi * x ** 3 + 6 * tm,
+                                mpmath.mpf(math.sqrt(-p.alpha)))
+            alpha = -s * s
+            beta = alpha + 2 * s * sqrt_pi
+            worst = max(worst, float(abs(p.alpha / alpha - 1)), float(abs(p.beta / beta - 1)))
+    assert worst <= 1e-13
+
+
+def test_t_max_checked_at_construction():
+    with pytest.raises(DomainError):
+        TangentTerm(t_max=2.0)
+    with pytest.raises(DomainError):
+        TangentTerm(0.5, t_max=math.pi ** 2 / 6)
+    assert TangentTerm(t_max=1.0).domain_end == 1.0
+
+
+def test_value_at_domain_end_for_any_radius():
+    # domain_end / r**2 can round one ulp above t_max; the term must still
+    # evaluate at its own domain end
+    assert TangentTerm(0.31375).domain_end / 0.31375 ** 2 > T_MAX_DEFAULT
+    for r in (0.31375, 0.7, 1.0, 3.3):
+        term = TangentTerm(r)
+        assert term.value(term.domain_end) == pytest.approx(
+            r * driving_term(T_MAX_DEFAULT), rel=1e-15)
+
+
+@given(r=st.floats(0.25, 4.0), u=st.floats(0.0, 1.0))
+def test_hot_path_matches_public_solve(r, u):
+    term = TangentTerm(r)
+    t = u * term.domain_end
+    # t / r**2 may overshoot t_max by an ulp at the domain end
+    p = solve_params(min(t / r ** 2, T_MAX_DEFAULT))
+    expected = r * p.gamma_prevertex
+    assert abs(term.value(t) - expected) <= 1e-15 * abs(expected)
+    s = math.sqrt(-p.alpha)
+    residual = 3 * s ** 4 - 4 * math.sqrt(math.pi) * s ** 3 + 6 * p.t
+    floor = sys.float_info.min  # subnormal t carries fewer than 53 bits
+    assert abs(residual) <= max(1e-14 * min(1.0, 6 * p.t), floor)
 
 
 def test_scaled_term_exponent_invariance():
