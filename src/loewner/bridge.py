@@ -60,6 +60,18 @@ def _validated_grid(t_grid) -> np.ndarray:
     return grid
 
 
+def _companion_samples(evolve, term: DrivingTerm, start: float, grid: np.ndarray,
+                       tol: float, collision_delta: float):
+    """Solve the companion boundary flow on the grid; return the trajectory,
+    the sample times (the grid, cut at the swallowing time), the flow's values
+    and the term's values there."""
+    traj = evolve(term, start, float(grid[-1]), tol,
+                  collision_delta=collision_delta, capture=grid)
+    times = traj.times[np.isin(traj.times, grid) | (traj.times == traj.times[-1])] \
+        if traj.is_swallowed else grid
+    return traj, times, traj.values_at(times).astype(float), term.values(times)
+
+
 def halfplane_to_disk(term: DrivingTerm, x0: float, t_grid, tol: float = 1e-10,
                       *, collision_delta: float = DEFAULT_COLLISION_DELTA) -> ConversionResult:
     """Convert a half-plane driving term to its disk companion along x(t, x0).
@@ -68,12 +80,8 @@ def halfplane_to_disk(term: DrivingTerm, x0: float, t_grid, tol: float = 1e-10,
     this gives u(0) = x0 - 2*arctan((x0 - lambda(0))/2) and alpha0 = x0.
     """
     grid = _validated_grid(t_grid)
-    traj = evolve_boundary(term, x0, float(grid[-1]), tol,
-                           collision_delta=collision_delta, capture=grid)
-    times = traj.times[np.isin(traj.times, grid) | (traj.times == traj.times[-1])] \
-        if traj.is_swallowed else grid
-    x = traj.values_at(times).astype(float)
-    lam = term.values(times)
+    traj, times, x, lam = _companion_samples(evolve_boundary, term, x0, grid, tol,
+                                             collision_delta)
     u = x - 2.0 * np.arctan(0.5 * (x - lam))
     return ConversionResult(term=Sampled(times, u), trajectory=traj,
                             swallowed_at=traj.swallowed_at)
@@ -88,16 +96,11 @@ def disk_to_halfplane(term: DrivingTerm, alpha0: float, t_grid, tol: float = 1e-
     which is distinct from swallowing (alpha - u -> 0).
     """
     grid = _validated_grid(t_grid)
-    u0 = term.value(0.0)
-    if abs(_wrap(alpha0 - u0)) >= math.pi - _PI_MARGIN:
+    if abs(math.remainder(alpha0 - term.value(0.0), 2.0 * math.pi)) >= math.pi - _PI_MARGIN:
         raise ConversionDomainError(
             "alpha0 - u(0) is at the tan blowup (|difference| = pi)")
-    traj = evolve_disk_boundary(term, alpha0, float(grid[-1]), tol,
-                                collision_delta=collision_delta, capture=grid)
-    times = traj.times[np.isin(traj.times, grid) | (traj.times == traj.times[-1])] \
-        if traj.is_swallowed else grid
-    alpha = traj.values_at(times).astype(float)
-    u = term.values(times)
+    traj, times, alpha, u = _companion_samples(evolve_disk_boundary, term, alpha0, grid, tol,
+                                               collision_delta)
     half = 0.5 * (alpha - u)
     if np.any(np.abs(np.arctan2(np.sin(half), np.cos(half))) >= 0.5 * math.pi - _PI_MARGIN):
         raise ConversionDomainError(
@@ -129,12 +132,3 @@ def correspondence_residual(term_lambda: DrivingTerm, term_u: DrivingTerm,
     u = term_u.values(times)
     return float(np.max(np.abs(np.tan(0.5 * (alpha - u)) - 0.5 * (x - lam))))
 
-
-def _wrap(angle: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    w = math.fmod(angle, 2.0 * math.pi)
-    if w > math.pi:
-        w -= 2.0 * math.pi
-    elif w <= -math.pi:
-        w += 2.0 * math.pi
-    return w

@@ -103,15 +103,8 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    import csv
-
-    with open(args.input) as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    header, data = rows[0], rows[1:]
-    if len(header) < 2:
-        raise ValueError(f"{args.input}: expected at least two CSV columns")
-    times = np.asarray([float(r[0]) for r in data])
-    values = np.asarray([float(r[1]) for r in data])
+    times, values = np.loadtxt(args.input, delimiter=",", skiprows=1, usecols=(0, 1),
+                               comments="#", unpack=True)
     sup = holder_sup_norm(times, values, exponent=args.exponent)
     out = {"sup_norm": sup, "exponent_requested": args.exponent}
     try:
@@ -135,7 +128,7 @@ def _cmd_critical(args) -> int:
                    "crossed_at": res.crossed_at, "norm_floor": res.norm_floor,
                    "values": list(res.values[:50])}
     else:
-        cs = np.arange(args.c_min, args.c_max + 1e-9, args.c_step)
+        cs = critical.c_grid(args.c_min, args.c_max, args.c_step)
         exp = critical.collision_threshold_experiment(cs)
         payload = {
             "threshold_experiment": [

@@ -20,27 +20,35 @@ import numpy as np
 
 from .driving import Lind
 from .errors import PoleError, RootFindingError
-from .halfplane import DEFAULT_COLLISION_DELTA, evolve_boundary
+from .halfplane import evolve_boundary
 
 #: pole guard for the recursion denominators
 POLE_TOL = 1e-12
 
+#: bisection width of each zero y_n
+Y_TOL = 1e-12
 
-def g_eval(n: int, y: float, *, pole_tol: float = POLE_TOL) -> float:
+#: threshold experiment: solver tolerance, and the slack past t = 1 within
+#: which a collision still counts (c = 4 collides exactly at t = 1)
+SCAN_TOL = 1e-9
+T1_SLACK = 1e-3
+
+
+def g_eval(n: int, y: float) -> float:
     """Evaluate g_n(y); raises PoleError when a denominator vanishes."""
     if n < 1:
         raise ValueError("n must be >= 1")
     v = float(y)
     for _ in range(1, n + 1):
         # v holds g_{k-1}; g_0 interpreted as y itself makes g_1 = y - 4/y
-        if abs(v) < pole_tol:
+        if abs(v) < POLE_TOL:
             raise PoleError(f"g recursion hit a pole at y={y!r}")
         v = y - 4.0 / v
     return v
 
 
-def y_sequence(n_max: int, *, tol: float = 1e-12) -> np.ndarray:
-    """Zeros y_1..y_{n_max}, each bisected on (y_{n-1}, 4) to width ``tol``.
+def y_sequence(n_max: int) -> np.ndarray:
+    """Zeros y_1..y_{n_max}, each bisected on (y_{n-1}, 4) to width ``Y_TOL``.
 
     g_n rises from -inf just right of y_{n-1} (where g_{n-1} vanishes) to a
     positive value at 4, so the bracket always carries a sign change.
@@ -54,7 +62,7 @@ def y_sequence(n_max: int, *, tol: float = 1e-12) -> np.ndarray:
         f_hi = _g_safe(n, hi)
         if not (f_lo < 0.0 < f_hi):
             raise RootFindingError(f"bracketing failed for y_{n}")
-        while hi - lo > tol:
+        while hi - lo > Y_TOL:
             mid = 0.5 * (lo + hi)
             if _g_safe(n, mid) < 0.0:
                 lo = mid
@@ -64,11 +72,6 @@ def y_sequence(n_max: int, *, tol: float = 1e-12) -> np.ndarray:
         ys.append(root)
         prev = root
     return np.asarray(ys)
-
-
-def y_zero(n: int, *, tol: float = 1e-12) -> float:
-    """The zero y_n of g_n on (y_{n-1}, 4)."""
-    return float(y_sequence(n, tol=tol)[-1])
 
 
 def _g_safe(n: int, y: float) -> float:
@@ -153,17 +156,27 @@ class ThresholdExperiment:
         return True
 
 
-def default_x0_grid(lam0: float = 0.0, n: int = 200) -> np.ndarray:
+def c_grid(c_min: float, c_max: float, c_step: float) -> np.ndarray:
+    """Nodes c_min + k*c_step for k = 0, 1, ... up to c_max (1e-9 slack).
+
+    np.arange would step by (c_min + c_step) - c_min, whose rounding error
+    grows with k: it puts 3.9999999999999982 where 4 should be on the default
+    grid. The node count is that of np.arange(c_min, c_max + 1e-9, c_step).
+    """
+    if not c_step > 0:
+        raise ValueError("c_step must be positive")
+    return c_min + c_step * np.arange(math.ceil((c_max + 1e-9 - c_min) / c_step))
+
+
+def default_x0_grid(lam0: float = 0.0) -> np.ndarray:
     """Geometric grid of starting points to the right of lambda(0)."""
-    return lam0 + np.geomspace(1e-3, 20.0, n)
+    return lam0 + np.geomspace(1e-3, 20.0, 200)
 
 
-def collision_threshold_experiment(c_grid, x0_grid=None, *, tol: float = 1e-9,
-                                   collision_delta: float = DEFAULT_COLLISION_DELTA,
-                                   t1_slack: float = 1e-3) -> ThresholdExperiment:
+def collision_threshold_experiment(c_grid, x0_grid=None) -> ThresholdExperiment:
     """For each c, does some x0 collide with lambda_c(t) = c - c*sqrt(1-t) by t=1?
 
-    Collision by t=1 includes the endpoint within ``t1_slack`` (the c=4 case
+    Collision by t=1 includes the endpoint within ``T1_SLACK`` (the c=4 case
     collides exactly at t=1). The x0 scan short-circuits on the first hit.
     """
     cs = np.asarray(c_grid, dtype=float)
@@ -174,9 +187,8 @@ def collision_threshold_experiment(c_grid, x0_grid=None, *, tol: float = 1e-9,
             else np.asarray(x0_grid, dtype=float)
         hit_t = hit_x0 = None
         for x0 in grid:
-            traj = evolve_boundary(term, float(x0), 1.0, tol,
-                                   collision_delta=collision_delta, record=False)
-            if traj.is_swallowed and traj.swallowed_at <= 1.0 + t1_slack:
+            traj = evolve_boundary(term, float(x0), 1.0, SCAN_TOL, record=False)
+            if traj.is_swallowed and traj.swallowed_at <= 1.0 + T1_SLACK:
                 hit_t, hit_x0 = traj.swallowed_at, float(x0)
                 break
         verdicts.append(ThresholdVerdict(c=float(c), collides=hit_t is not None,

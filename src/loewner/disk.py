@@ -13,8 +13,7 @@ import cmath
 import math
 
 from .driving import DrivingTerm
-from .errors import DomainError
-from .halfplane import DEFAULT_COLLISION_DELTA, _check_term_covers
+from .halfplane import DEFAULT_COLLISION_DELTA
 from .integrate import solve_scalar
 from .trajectory import Trajectory
 
@@ -25,6 +24,44 @@ def angle_gap(alpha: float, u: float) -> float:
     """Circular distance between the angle alpha and the driving angle u, in [0, pi]."""
     m = (alpha - u) % _TWO_PI
     return min(m, _TWO_PI - m)
+
+
+def _interior_flow(term: DrivingTerm):
+    """Right-hand side and collision gap of dw/dt = w (e^{iu} + w) / (e^{iu} - w)."""
+    u = term.value
+
+    def f(t, w):
+        e = cmath.exp(1j * u(t))
+        return w * (e + w) / (e - w)
+
+    def gap(t, w):
+        return abs(w - cmath.exp(1j * u(t)))
+
+    return f, gap
+
+
+def _boundary_flow(term: DrivingTerm):
+    """Right-hand side and collision gap of d(alpha)/dt = cot((alpha - u) / 2)."""
+    u = term.value
+
+    def f(t, a):
+        return 1.0 / math.tan(0.5 * (a - u(t)))
+
+    def gap(t, a):
+        return angle_gap(a, u(t))
+
+    return f, gap
+
+
+def _evolve(flow, term: DrivingTerm, y0, t_end: float, tol: float, collision_delta: float,
+            capture, record: bool = True) -> Trajectory:
+    """Solve ``flow`` from (0, y0) with swallowing detection; the samples keep y0's type."""
+    term.check_covers(t_end)
+    f, gap = flow(term)
+    res = solve_scalar(f, 0.0, y0, t_end, rtol=tol, atol=tol,
+                       gap=gap, gap_threshold=collision_delta, capture=capture,
+                       record=record)
+    return Trajectory(res.times, res.values.astype(type(y0)), res.swallowed_at)
 
 
 def evolve_disk_interior(term: DrivingTerm, z0: complex, t_end: float,
@@ -39,19 +76,7 @@ def evolve_disk_interior(term: DrivingTerm, z0: complex, t_end: float,
     z0 = complex(z0)
     if abs(z0) >= 1.0:
         raise ValueError("disk interior evolution needs |z0| < 1")
-    _check_term_covers(term, t_end)
-    u = term.value
-
-    def f(t, w):
-        e = cmath.exp(1j * u(t))
-        return w * (e + w) / (e - w)
-
-    def gap(t, w):
-        return abs(w - cmath.exp(1j * u(t)))
-
-    res = solve_scalar(f, 0.0, z0, t_end, rtol=tol, atol=tol,
-                       gap=gap, gap_threshold=collision_delta, capture=capture)
-    return Trajectory(res.times, res.values.astype(complex), res.swallowed_at)
+    return _evolve(_interior_flow, term, z0, t_end, tol, collision_delta, capture)
 
 
 def evolve_disk_boundary(term: DrivingTerm, alpha0: float, t_end: float,
@@ -65,19 +90,7 @@ def evolve_disk_boundary(term: DrivingTerm, alpha0: float, t_end: float,
     ``collision_delta``.
     """
     alpha0 = float(alpha0)
-    _check_term_covers(term, t_end)
-    u = term.value
-    if angle_gap(alpha0, u(0.0)) <= collision_delta:
+    if angle_gap(alpha0, term.value(0.0)) <= collision_delta:
         raise ValueError("alpha0 coincides with u(0) modulo 2*pi within the "
                          "collision threshold")
-
-    def f(t, a):
-        return 1.0 / math.tan(0.5 * (a - u(t)))
-
-    def gap(t, a):
-        return angle_gap(a, u(t))
-
-    res = solve_scalar(f, 0.0, alpha0, t_end, rtol=tol, atol=tol,
-                       gap=gap, gap_threshold=collision_delta, capture=capture,
-                       record=record)
-    return Trajectory(res.times, res.values.astype(float), res.swallowed_at)
+    return _evolve(_boundary_flow, term, alpha0, t_end, tol, collision_delta, capture, record)

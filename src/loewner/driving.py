@@ -53,8 +53,13 @@ class DrivingTerm:
         """Evaluate on an array of times."""
         return np.array([self.value(t) for t in np.asarray(ts, dtype=float).ravel()])
 
-    def __call__(self, t: float) -> float:
-        return self.value(t)
+    def check_covers(self, t_end: float) -> None:
+        """Raise DomainError unless the term is defined on all of [0, t_end]."""
+        if t_end < 0:
+            raise DomainError("t_end must be nonnegative")
+        if self.domain_end is not None and t_end > self.domain_end * (1 + 1e-12):
+            raise DomainError(
+                f"t_end={t_end!r} exceeds the term's domain end {self.domain_end!r}")
 
     def _clip_time(self, t: float) -> float:
         if t < 0.0:

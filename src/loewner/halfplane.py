@@ -28,11 +28,14 @@ from .trajectory import Trajectory
 #: resolved much below sqrt(eps) in the time variable, so this sits well above
 DEFAULT_COLLISION_DELTA = 1e-6
 
-#: default handoff time for the singular-solution ansatz
-DEFAULT_BOOTSTRAP_T0 = 1e-8
+#: handoff time t0 of the singular-solution ansatz
+BOOTSTRAP_T0 = 1e-8
 
 #: the ansatz is seeded this much earlier than t0 and integrated up to t0
 _SEED_REFINEMENT = 256.0
+
+#: size of the shared grid on which singular_family checks straddling and nesting
+FAMILY_CHECK_POINTS = 33
 
 
 @dataclass(frozen=True)
@@ -75,12 +78,28 @@ def sharp_ratio_bound(c: float) -> float:
     return 0.5 * (c + math.sqrt(c * c + 16.0))
 
 
-def _check_term_covers(term: DrivingTerm, t_end: float):
-    if t_end < 0:
-        raise DomainError("t_end must be nonnegative")
-    if term.domain_end is not None and t_end > term.domain_end * (1 + 1e-12):
-        raise DomainError(
-            f"t_end={t_end!r} exceeds the term's domain end {term.domain_end!r}")
+def _flow(term: DrivingTerm):
+    """Right-hand side and collision gap of dh/dt = 2 / (h - lambda(t))."""
+    lam = term.value
+
+    def f(t, y):
+        return 2.0 / (y - lam(t))
+
+    def gap(t, y):
+        return abs(y - lam(t))
+
+    return f, gap
+
+
+def _evolve(term: DrivingTerm, y0, t_end: float, tol: float, collision_delta: float,
+            capture, record: bool = True) -> Trajectory:
+    """Solve from (0, y0) with swallowing detection; the samples keep y0's type."""
+    term.check_covers(t_end)
+    f, gap = _flow(term)
+    res = solve_scalar(f, 0.0, y0, t_end, rtol=tol, atol=tol,
+                       gap=gap, gap_threshold=collision_delta, capture=capture,
+                       record=record)
+    return Trajectory(res.times, res.values.astype(type(y0)), res.swallowed_at)
 
 
 def evolve_interior(term: DrivingTerm, z0: complex, t_end: float, tol: float = 1e-10,
@@ -95,18 +114,7 @@ def evolve_interior(term: DrivingTerm, z0: complex, t_end: float, tol: float = 1
     z0 = complex(z0)
     if z0.imag <= 0:
         raise ValueError("interior evolution needs Im z0 > 0")
-    _check_term_covers(term, t_end)
-    lam = term.value
-
-    def f(t, y):
-        return 2.0 / (y - lam(t))
-
-    def gap(t, y):
-        return abs(y - lam(t))
-
-    res = solve_scalar(f, 0.0, z0, t_end, rtol=tol, atol=tol,
-                       gap=gap, gap_threshold=collision_delta, capture=capture)
-    return Trajectory(res.times, res.values.astype(complex), res.swallowed_at)
+    return _evolve(term, z0, t_end, tol, collision_delta, capture)
 
 
 def evolve_boundary(term: DrivingTerm, x0: float, t_end: float, tol: float = 1e-10,
@@ -115,24 +123,11 @@ def evolve_boundary(term: DrivingTerm, x0: float, t_end: float, tol: float = 1e-
     """Evolve a real point x0 != lambda(0); the sign of x - lambda is preserved
     until swallowing."""
     x0 = float(x0)
-    _check_term_covers(term, t_end)
-    lam = term.value
-    lam0 = lam(0.0)
-    if abs(x0 - lam0) <= collision_delta:
+    if abs(x0 - term.value(0.0)) <= collision_delta:
         raise ValueError(
             "x0 coincides with lambda(0) within the collision threshold; "
             "use singular_plus/singular_minus for the singular solutions")
-
-    def f(t, y):
-        return 2.0 / (y - lam(t))
-
-    def gap(t, y):
-        return abs(y - lam(t))
-
-    res = solve_scalar(f, 0.0, x0, t_end, rtol=tol, atol=tol,
-                       gap=gap, gap_threshold=collision_delta, capture=capture,
-                       record=record)
-    return Trajectory(res.times, res.values.astype(float), res.swallowed_at)
+    return _evolve(term, x0, t_end, tol, collision_delta, capture, record)
 
 
 def _sqrt_ansatz(term: DrivingTerm, t_start: float, sign: int, dt: float) -> float:
@@ -149,8 +144,8 @@ def _sqrt_ansatz(term: DrivingTerm, t_start: float, sign: int, dt: float) -> flo
 
 
 def _singular(term: DrivingTerm, sign: int, t_start: float, t_end: float, tol: float,
-              t0: float, capture=None) -> Trajectory:
-    _check_term_covers(term, t_end)
+              capture=None) -> Trajectory:
+    term.check_covers(t_end)
     if t_end < t_start:
         raise DomainError("t_end must be >= the start time of the singular solution")
     lam_start = term.value(t_start)
@@ -160,15 +155,12 @@ def _singular(term: DrivingTerm, sign: int, t_start: float, t_end: float, tol: f
     span = t_end - t_start
     cap = np.asarray([] if capture is None else capture, dtype=float)
     cap_rel = cap[cap > t_start] - t_start
-    dt_seed = min(t0, span / 4.0)
+    dt_seed = min(BOOTSTRAP_T0, span / 4.0)
     if cap_rel.size:
         dt_seed = min(dt_seed, float(cap_rel.min()) / 4.0)
     dt_fine = dt_seed / _SEED_REFINEMENT
 
-    lam = term.value
-
-    def f(t, y):
-        return 2.0 / (y - lam(t))
+    f, _ = _flow(term)
 
     # seed early and integrate up to the handoff time; for steep terms
     # (e.g. Lip(1/3) driving) the relaxation rate 2/gap**2 outruns the step
@@ -180,8 +172,9 @@ def _singular(term: DrivingTerm, sign: int, t_start: float, t_end: float, tol: f
         y_seed = res0.values[-1]
     except IntegrationError:
         y_seed = _sqrt_ansatz(term, t_start, sign, dt_seed)
-    gap_seed = sign * (y_seed - lam(t_start + dt_seed))
-    gap_ansatz = sign * (_sqrt_ansatz(term, t_start, sign, dt_seed) - lam(t_start + dt_seed))
+    lam_seed = term.value(t_start + dt_seed)
+    gap_seed = sign * (y_seed - lam_seed)
+    gap_ansatz = sign * (_sqrt_ansatz(term, t_start, sign, dt_seed) - lam_seed)
     if not math.isfinite(y_seed) or gap_seed <= 0:
         raise BootstrapError(
             f"singular bootstrap left its side at t={t_start + dt_seed!r}")
@@ -198,19 +191,18 @@ def _singular(term: DrivingTerm, sign: int, t_start: float, t_end: float, tol: f
 
 
 def singular_plus(term: DrivingTerm, t_end: float, tol: float = 1e-10,
-                  *, t0: float = DEFAULT_BOOTSTRAP_T0, capture=None) -> Trajectory:
+                  *, capture=None) -> Trajectory:
     """The upper singular solution h+ with h+(0) = lambda(0)."""
-    return _singular(term, +1, 0.0, t_end, tol, t0, capture)
+    return _singular(term, +1, 0.0, t_end, tol, capture)
 
 
 def singular_minus(term: DrivingTerm, t_end: float, tol: float = 1e-10,
-                   *, t0: float = DEFAULT_BOOTSTRAP_T0, capture=None) -> Trajectory:
+                   *, capture=None) -> Trajectory:
     """The lower singular solution h- with h-(0) = lambda(0)."""
-    return _singular(term, -1, 0.0, t_end, tol, t0, capture)
+    return _singular(term, -1, 0.0, t_end, tol, capture)
 
 
-def swallowed_interval(term: DrivingTerm, t_grid, tol: float = 1e-10,
-                       *, t0: float = DEFAULT_BOOTSTRAP_T0) -> list[SwallowedInterval]:
+def swallowed_interval(term: DrivingTerm, t_grid, tol: float = 1e-10) -> list[SwallowedInterval]:
     """Intervals [h-(t), h+(t)] on a time grid, with ordering checks.
 
     Raises LoewnerError if the computed endpoints violate monotonicity or fail
@@ -221,38 +213,28 @@ def swallowed_interval(term: DrivingTerm, t_grid, tol: float = 1e-10,
         raise ValueError("t_grid must be a nonempty 1-d array of times >= 0")
     sorted_grid = np.unique(grid)
     t_end = float(sorted_grid[-1])
-    minus = _singular(term, -1, 0.0, t_end, tol, t0, capture=sorted_grid)
-    plus = _singular(term, +1, 0.0, t_end, tol, t0, capture=sorted_grid)
-    by_time = {}
-    for t in sorted_grid:
-        lo = float(minus.value_at(t))
-        hi = float(plus.value_at(t))
-        if t > 0:
-            lam_t = term.value(float(t))
-            if not (lo < lam_t < hi):
-                raise LoewnerError(
-                    f"singular solutions fail to straddle lambda at t={t!r}")
-        by_time[float(t)] = SwallowedInterval(float(t), lo, hi)
-    lows = np.array([by_time[float(t)].lower for t in sorted_grid])
-    ups = np.array([by_time[float(t)].upper for t in sorted_grid])
+    lows, ups = (_singular(term, sign, 0.0, t_end, tol, capture=sorted_grid)
+                 .values_at(sorted_grid).astype(float) for sign in (-1, +1))
+    for t, lo, hi in zip(sorted_grid, lows, ups):
+        if t > 0 and not (lo < term.value(float(t)) < hi):
+            raise LoewnerError(f"singular solutions fail to straddle lambda at t={t!r}")
     if np.any(np.diff(lows) >= 0) or np.any(np.diff(ups) <= 0):
         raise LoewnerError("swallowed interval endpoints are not strictly monotone")
+    by_time = {float(t): SwallowedInterval(float(t), float(lo), float(hi))
+               for t, lo, hi in zip(sorted_grid, lows, ups)}
     return [by_time[float(t)] for t in grid]
 
 
-def ratio_limsup_check(term: DrivingTerm, t_grid, *, norm: float | None = None,
-                       tol: float = 1e-10, t0: float = DEFAULT_BOOTSTRAP_T0) -> RatioDiagnostic:
+def ratio_limsup_check(term: DrivingTerm, t_grid, *, tol: float = 1e-10) -> RatioDiagnostic:
     """phi(t) = (h+(t) - lambda(0)) / sqrt(t) on a grid, against the sharp bound.
 
-    ``norm`` is the Lip(1/2) norm c of the term; when omitted it is taken from
-    the term's closed form if available, else estimated from samples.
+    The Lip(1/2) norm c of the term is taken from its closed form if
+    available, else estimated from samples.
     """
     grid = np.sort(np.asarray(t_grid, dtype=float))
     if grid.size == 0 or np.any(grid <= 0):
         raise ValueError("t_grid must contain positive times")
-    c = norm
-    if c is None:
-        c = term.exact_half_norm
+    c = term.exact_half_norm
     if c is None:
         t_end = float(grid[-1])
         if term.domain_end is not None:
@@ -260,15 +242,14 @@ def ratio_limsup_check(term: DrivingTerm, t_grid, *, norm: float | None = None,
         ts = np.concatenate(([0.0], np.geomspace(max(1e-12, t_end * 1e-9), t_end, 2000)))
         c = holder_sup_norm(ts, term.values(ts), exponent=0.5)
     lam0 = term.value(0.0)
-    plus = singular_plus(term, float(grid[-1]), tol, t0=t0, capture=grid)
+    plus = singular_plus(term, float(grid[-1]), tol, capture=grid)
     phi = (plus.values_at(grid).astype(float) - lam0) / np.sqrt(grid)
     return RatioDiagnostic(times=grid, ratio=phi, bound=sharp_ratio_bound(float(c)),
                            norm_used=float(c))
 
 
-def singular_family(term: DrivingTerm, tau_grid, t_end: float, tol: float = 1e-10,
-                    *, t0: float = DEFAULT_BOOTSTRAP_T0,
-                    check_points: int = 33) -> list[tuple[Trajectory, Trajectory]]:
+def singular_family(term: DrivingTerm, tau_grid, t_end: float,
+                    tol: float = 1e-10) -> list[tuple[Trajectory, Trajectory]]:
     """Pairs of singular solutions restarted from the slit tip at each tau.
 
     Each pair starts at h(gamma(tau), tau) = lambda(tau). Straddling of the
@@ -279,13 +260,13 @@ def singular_family(term: DrivingTerm, tau_grid, t_end: float, tol: float = 1e-1
     if taus.size == 0 or np.any(taus < 0) or np.any(taus >= t_end):
         raise ValueError("tau_grid must lie within [0, t_end)")
     t_lo = float(taus[-1]) + (t_end - float(taus[-1])) / 64.0
-    shared = np.geomspace(t_lo, t_end, check_points) if t_lo > 0 else \
-        np.linspace(t_end / check_points, t_end, check_points)
+    n = FAMILY_CHECK_POINTS
+    shared = np.geomspace(t_lo, t_end, n) if t_lo > 0 else np.linspace(t_end / n, t_end, n)
     pairs = []
     for tau in taus:
         cap = shared[shared > tau]
-        minus = _singular(term, -1, float(tau), t_end, tol, t0, capture=cap)
-        plus = _singular(term, +1, float(tau), t_end, tol, t0, capture=cap)
+        minus = _singular(term, -1, float(tau), t_end, tol, capture=cap)
+        plus = _singular(term, +1, float(tau), t_end, tol, capture=cap)
         for t in cap:
             lam_t = term.value(float(t))
             if not (minus.value_at(t) < lam_t < plus.value_at(t)):

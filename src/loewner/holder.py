@@ -19,6 +19,9 @@ DENSE_PAIR_LIMIT = 5000
 #: default fit window; the exponents of interest are asymptotic statements at t -> 0+
 DEFAULT_FIT_WINDOW = (1e-6, 1e-3)
 
+#: fewest samples a fit window must hold
+MIN_FIT_POINTS = 10
+
 
 @dataclass(frozen=True)
 class HolderFit:
@@ -36,11 +39,10 @@ class HolderFit:
             raise FitError("coefficient and sup_norm must be nonnegative")
 
 
-def holder_sup_norm(times, values, exponent: float = 0.5,
-                    dense_limit: int = DENSE_PAIR_LIMIT) -> float:
+def holder_sup_norm(times, values, exponent: float = 0.5) -> float:
     """Sup of |f(t)-f(s)| / (t-s)**exponent over sample pairs.
 
-    All O(n^2) pairs are scanned up to ``dense_limit`` samples; beyond that a
+    All O(n^2) pairs are scanned up to ``DENSE_PAIR_LIMIT`` samples; beyond that a
     dyadic subset is used (all pairs at power-of-two index gaps plus all pairs
     anchored at the first and last samples, which capture power-law sups).
 
@@ -61,7 +63,7 @@ def holder_sup_norm(times, values, exponent: float = 0.5,
         raise ValueError("exponent must lie in (0, 1]")
 
     n = t.size
-    if n <= dense_limit:
+    if n <= DENSE_PAIR_LIMIT:
         best = 0.0
         block = 512
         for i0 in range(0, n - 1, block):
@@ -94,8 +96,8 @@ def holder_sup_norm(times, values, exponent: float = 0.5,
     return float(np.max(np.abs(v[jj] - v[ii]) / (t[jj] - t[ii]) ** exponent))
 
 
-def holder_exponent_fit(times, values, window: tuple[float, float] = DEFAULT_FIT_WINDOW,
-                        min_points: int = 10) -> HolderFit:
+def holder_exponent_fit(times, values,
+                        window: tuple[float, float] = DEFAULT_FIT_WINDOW) -> HolderFit:
     """Fit |f(t) - f(0)| ~ coefficient * t**exponent on a log-log window.
 
     The first sample must sit at t=0 (it provides f(0)). The slope of the
@@ -105,16 +107,16 @@ def holder_exponent_fit(times, values, window: tuple[float, float] = DEFAULT_FIT
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
-    if t.size < min_points + 1 or t[0] != 0.0:
+    if t.size < MIN_FIT_POINTS + 1 or t[0] != 0.0:
         raise FitError("need a t=0 sample plus enough points covering the window")
     lo, hi = window
     if not (0.0 < lo < hi):
         raise FitError(f"invalid fit window {window!r} (need 0 < lo < hi)")
     g = np.abs(v - v[0])
     mask = (t >= lo) & (t <= hi) & (g > 0.0)
-    if int(mask.sum()) < min_points:
+    if int(mask.sum()) < MIN_FIT_POINTS:
         raise FitError(
-            f"only {int(mask.sum())} usable points in window {window!r} (need {min_points})")
+            f"only {int(mask.sum())} usable points in window {window!r} (need {MIN_FIT_POINTS})")
     slope, intercept = np.polyfit(np.log(t[mask]), np.log(g[mask]), 1)
     fit = HolderFit(
         exponent=float(slope),

@@ -10,8 +10,8 @@ complex right-hand sides. Two features are tailored to Loewner dynamics:
 * capture times: the stepper lands exactly on requested times so trajectories
   contain them as samples (no interpolation error at query points).
 
-Steps never shrink below an absolute floor (default 1e-14); if the error
-control demands less, integration fails loudly with the last valid state.
+Steps never shrink below an absolute floor of 1e-14; if the error control
+demands less, integration fails loudly with the last valid state.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ from .errors import IntegrationError
 
 #: absolute step floor in time
 H_FLOOR = 1e-14
+
+#: step budget of one solve
+MAX_STEPS = 500_000
 
 # Dormand-Prince 5(4) tableau
 _C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
@@ -51,8 +54,7 @@ class OdeResult:
 
 def solve_scalar(f, t0: float, y0, t_end: float, *, rtol: float = 1e-10,
                  atol: float = 1e-12, gap=None, gap_threshold: float = 0.0,
-                 capture=None, h_floor: float = H_FLOOR,
-                 max_steps: int = 500_000, record: bool = True) -> OdeResult:
+                 capture=None, record: bool = True) -> OdeResult:
     """Integrate dy/dt = f(t, y) from (t0, y0) to t_end.
 
     Parameters
@@ -68,6 +70,8 @@ def solve_scalar(f, t0: float, y0, t_end: float, *, rtol: float = 1e-10,
     record : bool
         When False only the initial and final samples are kept (fast scans).
     """
+    h_floor = H_FLOOR
+    max_steps = MAX_STEPS
     t = float(t0)
     y = y0
     if t_end < t:

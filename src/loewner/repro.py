@@ -103,7 +103,7 @@ def check_tangent_exponents() -> CheckResult:
     """Criterion 4: driving exponent/coefficient and endpoint exponents."""
     lo, hi = TANGENT_FIT_WINDOW
     ts = np.concatenate(([0.0], np.geomspace(lo, hi, 60)))
-    lam = np.array([tangent.driving_term(t) for t in ts])
+    lam = tangent.TangentTerm(1.0).values(ts)
     fit = holder_exponent_fit(ts, lam, window=TANGENT_FIT_WINDOW)
     coef_target = tangent.series_coefficients().beta_leading
     ok = (TANGENT_EXP_RANGE[0] <= fit.exponent <= TANGENT_EXP_RANGE[1]
@@ -184,7 +184,7 @@ def check_y_recursion() -> CheckResult:
 
 def check_threshold_experiment() -> CheckResult:
     """Criterion 9: empirical collision threshold in [3.9, 4.1], monotone verdicts."""
-    cs = np.arange(3.5, 4.5 + 1e-9, THRESHOLD_STEP)
+    cs = critical.c_grid(3.5, 4.5, THRESHOLD_STEP)
     exp = critical.collision_threshold_experiment(cs)
     thr = exp.threshold
     ok = (thr is not None and THRESHOLD_RANGE[0] <= thr <= THRESHOLD_RANGE[1]

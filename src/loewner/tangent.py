@@ -45,15 +45,13 @@ import numpy as np
 from .driving import DrivingTerm
 from .errors import DomainError, PoleError, RootFindingError
 
-#: default validity cap; the construction is local near t = 0 and the scalar
-#: equation has the small-root branch only while P has two positive roots
-#: (t < pi**2/6); 0.05 keeps the arc a proper slit with ample margin
+#: end of the unit-radius domain; the construction is local near t = 0 and the
+#: scalar equation has the small-root branch only while P has two positive
+#: roots (t < pi**2/6); 0.05 keeps the arc a proper slit with ample margin
 T_MAX_DEFAULT = 0.05
 
 _SQRT_PI = math.sqrt(math.pi)
 _FOUR_SQRT_PI = 4.0 * _SQRT_PI
-#: end of the small-root branch: P has a double root at s = sqrt(pi) there
-_BRANCH_END = math.pi ** 2 / 6.0
 _NEWTON_RESIDUAL_TOL = 1e-14
 _NEWTON_MAX_ITER = 60
 _TOL_FLOOR = sys.float_info.min
@@ -137,7 +135,7 @@ def _root_s(t: float) -> float:
     raise RootFindingError(f"prevertex solve did not converge at t={t!r}")
 
 
-def solve_params(t: float, *, t_max: float = T_MAX_DEFAULT) -> SlitParams:
+def solve_params(t: float) -> SlitParams:
     """Prevertices (alpha, beta, gamma) of the tangent slit at time t.
 
     Safeguarded Newton on P(s) = 3 s^4 - 4 sqrt(pi) s^3 + 6 t for s = sqrt(-alpha),
@@ -147,9 +145,8 @@ def solve_params(t: float, *, t_max: float = T_MAX_DEFAULT) -> SlitParams:
     so alpha and beta keep full relative accuracy down to the smallest t.
     """
     t = float(t)
-    if not (0.0 <= t <= t_max and t < _BRANCH_END):
-        raise DomainError(f"t={t!r} outside the tangent-slit domain [0, {t_max!r}] "
-                          "(and below pi**2/6, where the small root branch ends)")
+    if not 0.0 <= t <= T_MAX_DEFAULT:
+        raise DomainError(f"t={t!r} outside the tangent-slit domain [0, {T_MAX_DEFAULT!r}]")
     s = _root_s(t)
     alpha = -s * s
     beta = alpha + 2.0 * s * _SQRT_PI
@@ -186,25 +183,20 @@ def evaluate_map(params: SlitParams, w):
     return complex(out) if np.isscalar(w) or np.asarray(w).ndim == 0 else out
 
 
-def driving_term(t: float, *, t_max: float = T_MAX_DEFAULT) -> float:
-    """lambda(t) = gamma(t) = 2*alpha(t) + beta(t); lambda(0) = 0, Lip(1/3) at 0."""
-    return solve_params(t, t_max=t_max).gamma_prevertex
-
-
 class TangentTerm(DrivingTerm):
-    """Driving term of the circular slit of radius r tangent to the real axis at 0."""
+    """Driving term of the circular slit of radius r tangent to the real axis at 0.
 
-    def __init__(self, radius: float = 1.0, offset: float = 0.0,
-                 t_max: float = T_MAX_DEFAULT):
+    lambda_r(t) = r * gamma(t / r**2) with gamma = 2*alpha + beta, so
+    lambda(0) = 0 and lambda is Lip(1/3) at 0; defined on [0, T_MAX_DEFAULT * r**2].
+    """
+
+    def __init__(self, radius: float = 1.0, offset: float = 0.0):
         super().__init__(offset)
         if radius <= 0:
             raise ValueError("radius must be positive")
-        if t_max >= _BRANCH_END:
-            raise DomainError("t_max must stay below pi**2/6, where the small root branch ends")
         self.radius = float(radius)
-        self.t_max = float(t_max)
         self._r2 = self.radius ** 2
-        self.domain_end = self.t_max * self._r2
+        self.domain_end = T_MAX_DEFAULT * self._r2
 
     def _raw(self, t: float) -> float:
         # lambda_r(t) = r * gamma(t / r**2), straight from s: this runs once per

@@ -16,14 +16,13 @@ import numpy as np
 
 from .driving import DrivingTerm
 from .errors import IntegrationError, TraceError
-from .halfplane import _check_term_covers
 from .integrate import solve_scalar
 
-DEFAULT_EPS_LEVELS = (1e-3, 5e-4, 2.5e-4)
+#: the halving sequence of start offsets eps extrapolated to eps -> 0
+EPS_LEVELS = (1e-3, 5e-4, 2.5e-4)
 
 
-def extract_trace(term: DrivingTerm, t_grid, tol: float = 1e-8,
-                  *, eps_levels=DEFAULT_EPS_LEVELS) -> list[tuple[float, complex]]:
+def extract_trace(term: DrivingTerm, t_grid, tol: float = 1e-8) -> list[tuple[float, complex]]:
     """Tips gamma(t) of the slit generated by ``term`` for each t in the grid.
 
     Returns a list of (t, tip) pairs. Raises TraceError when the backward
@@ -32,13 +31,13 @@ def extract_trace(term: DrivingTerm, t_grid, tol: float = 1e-8,
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0):
         raise ValueError("t_grid must contain positive times")
-    _check_term_covers(term, float(np.max(grid)))
-    return [(float(t), _tip(term, float(t), tol, eps_levels)) for t in grid]
+    term.check_covers(float(np.max(grid)))
+    return [(float(t), _tip(term, float(t), tol)) for t in grid]
 
 
-def _tip(term: DrivingTerm, t: float, tol: float, eps_levels) -> complex:
+def _tip(term: DrivingTerm, t: float, tol: float) -> complex:
     vals = []
-    for eps in eps_levels:
+    for eps in EPS_LEVELS:
         try:
             vals.append(_tip_once(term, t, float(eps), tol))
         except IntegrationError as exc:

@@ -65,6 +65,20 @@ def test_convert_and_norm_round_trip(tmp_path, capsys):
     assert 3.5 < payload["sup_norm"] <= 4.01
 
 
+def test_norm_reads_swallowed_trajectory_csv(tmp_path, capsys):
+    # x(t, 2) = 4 - 2 sqrt(1 - t) has Lip(1/2) norm 2; the file ends in the
+    # swallowing comment, which norm must skip
+    traj = tmp_path / "lind.csv"
+    assert main(["evolve", "--geometry", "halfplane", "--term", "lind:4", "--start", "2",
+                 "--t-end", "1", "--out", str(traj)]) == 0
+    assert traj.read_text().splitlines()[-1].startswith("# terminal=swallowed")
+    capsys.readouterr()
+    assert main(["norm", "--input", str(traj)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["sup_norm"] == pytest.approx(2.0, rel=1e-5)
+    assert payload["sup_norm"] <= 2.0
+
+
 def test_trace_csv(tmp_path):
     out = tmp_path / "trace.csv"
     assert main(["trace", "--term", "constant:0", "--t-grid", "0.25,1.0",

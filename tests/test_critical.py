@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from loewner import Lind, PoleError
-from loewner.critical import (c_iteration, collision_threshold_experiment, g_eval,
-                              y_sequence, y_zero)
+from loewner.critical import (c_grid, c_iteration, collision_threshold_experiment, g_eval,
+                              y_sequence)
 
 
 def test_g_values_by_substitution():
@@ -22,8 +22,8 @@ def test_g_pole_error():
 
 
 def test_y_zeros():
-    assert y_zero(1) == pytest.approx(2.0, abs=1e-10)
-    assert y_zero(2) == pytest.approx(2 * math.sqrt(2), abs=1e-10)
+    assert y_sequence(1)[-1] == pytest.approx(2.0, abs=1e-10)
+    assert y_sequence(2)[-1] == pytest.approx(2 * math.sqrt(2), abs=1e-10)
 
 
 def test_y_sequence_monotone_and_approaches_four():
@@ -74,6 +74,22 @@ def test_iterates_stay_below_g_recursion():
             if res.values[n] <= 0:
                 break
             assert res.values[n] < g_eval(n, (1 + eps) * c)
+
+
+def test_c_grid_hits_the_decimal_nodes():
+    cs = c_grid(3.5, 4.5, 0.05)
+    assert cs.size == 21
+    assert 3.95 in cs.tolist() and 4.0 in cs.tolist()
+    assert cs[0] == 3.5 and cs[-1] == 4.5
+
+
+def test_c_grid_node_count_matches_arange():
+    # steps that do not divide the range give as many nodes as
+    # np.arange(c_min, c_max + 1e-9, c_step)
+    for lo, hi, step in ((3.9, 4.1, 0.03), (3.5, 4.5, 0.3), (0.0, 1.0, 0.07), (3.9, 4.1, 0.2)):
+        assert c_grid(lo, hi, step).size == np.arange(lo, hi + 1e-9, step).size
+    with pytest.raises(ValueError):
+        c_grid(3.5, 4.5, 0.0)
 
 
 def test_threshold_experiment_small_grid():

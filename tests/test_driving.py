@@ -3,6 +3,9 @@ import pytest
 
 from loewner import (Constant, DomainError, Lind, Sampled, Scaled, Sqrt,
                      load_sampled_csv, parse_term, write_sampled_csv)
+from loewner.disk import evolve_disk_boundary, evolve_disk_interior
+from loewner.halfplane import evolve_boundary, evolve_interior, singular_plus
+from loewner.trace import extract_trace
 
 
 def test_constant_eval():
@@ -85,3 +88,30 @@ def test_csv_rejects_bad_header(tmp_path):
     path.write_text("time,val\n0,1\n1,2\n")
     with pytest.raises(ValueError):
         load_sampled_csv(path)
+
+
+ENTRY_POINTS = {
+    "evolve_interior": lambda term, t: evolve_interior(term, 1 + 1j, t),
+    "evolve_boundary": lambda term, t: evolve_boundary(term, 2.0, t),
+    "evolve_disk_interior": lambda term, t: evolve_disk_interior(term, 0.5j, t),
+    "evolve_disk_boundary": lambda term, t: evolve_disk_boundary(term, 2.0, t),
+    "singular_plus": lambda term, t: singular_plus(term, t),
+    "extract_trace": lambda term, t: extract_trace(term, [t]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_check_the_domain(entry):
+    term = Lind(4.0)
+    with pytest.raises(DomainError):
+        ENTRY_POINTS[entry](term, 1.5 * term.domain_end)
+
+def test_check_covers():
+    Lind(4.0).check_covers(1.0)
+    Lind(4.0).check_covers(1.0 + 1e-13)  # relative rounding slack
+    with pytest.raises(DomainError):
+        Lind(4.0).check_covers(-1e-3)
+    # no domain_end: every t_end >= 0 is covered, negative ones are not
+    Constant(0.0).check_covers(1e9)
+    with pytest.raises(DomainError):
+        Constant(0.0).check_covers(-1.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from loewner import FitError, holder_exponent_fit, holder_sup_norm
+from loewner.holder import DENSE_PAIR_LIMIT
 
 
 def brute_force_norm(times, values, exponent):
@@ -35,7 +36,8 @@ def test_dyadic_subset_agrees_for_anchored_sup():
     # above the dense limit the dyadic path still sees the (0, t) pairs
     t = np.linspace(0, 1, 6001)
     v = 3.0 * np.sqrt(t)
-    assert holder_sup_norm(t, v, 0.5, dense_limit=5000) == pytest.approx(3.0, abs=1e-9)
+    assert t.size > DENSE_PAIR_LIMIT
+    assert holder_sup_norm(t, v, 0.5) == pytest.approx(3.0, abs=1e-9)
 
 
 def test_scale_covariance():

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from loewner import DomainError, PoleError
 from loewner.halfplane import evolve_interior
-from loewner.tangent import (T_MAX_DEFAULT, TangentTerm, driving_term, evaluate_map,
-                             series_coefficients, solve_params)
+from loewner.tangent import (T_MAX_DEFAULT, TangentTerm, evaluate_map, series_coefficients,
+                             solve_params)
 
 
 def test_series_coefficients_arithmetic():
@@ -67,7 +67,7 @@ def test_small_t_exponents_and_coefficients():
 
 
 def test_driving_term_zero_at_zero():
-    assert driving_term(0.0) == 0.0
+    assert solve_params(0.0).gamma_prevertex == 0.0
 
 
 def test_driving_exponent_bracket_at_wide_window():
@@ -77,14 +77,14 @@ def test_driving_exponent_bracket_at_wide_window():
     from loewner.holder import holder_exponent_fit
 
     ts = np.concatenate(([0.0], np.geomspace(1e-6, 1e-3, 60)))
-    lams = np.array([driving_term(float(t)) for t in ts])
+    lams = np.array([solve_params(float(t)).gamma_prevertex for t in ts])
     fit = holder_exponent_fit(ts, lams, window=(1e-6, 1e-3))
     assert 0.32 <= fit.exponent <= 0.345
 
 
 def test_driving_term_exponent_and_coefficient():
     ts = np.geomspace(1e-12, 1e-6, 50)
-    lams = np.array([driving_term(float(t)) for t in ts])
+    lams = np.array([solve_params(float(t)).gamma_prevertex for t in ts])
     slope, intercept = np.polyfit(np.log(ts), np.log(lams), 1)
     assert slope == pytest.approx(1.0 / 3.0, abs=1e-3)
     assert math.exp(intercept) == pytest.approx(series_coefficients().beta_leading, rel=0.01)
@@ -168,10 +168,10 @@ def test_ode_cross_check_against_map():
 
 
 def test_scaled_term_identities():
-    assert TangentTerm(1.0).value(0.01) == driving_term(0.01)
+    assert TangentTerm(1.0).value(0.01) == solve_params(0.01).gamma_prevertex
     t_prime = 0.003
     assert TangentTerm(2.0).value(4.0 * t_prime) == pytest.approx(
-        2.0 * driving_term(t_prime), rel=1e-14)
+        2.0 * solve_params(t_prime).gamma_prevertex, rel=1e-14)
 
 
 def test_params_match_mpmath_down_to_tiny_t():
@@ -192,14 +192,6 @@ def test_params_match_mpmath_down_to_tiny_t():
     assert worst <= 1e-13
 
 
-def test_t_max_checked_at_construction():
-    with pytest.raises(DomainError):
-        TangentTerm(t_max=2.0)
-    with pytest.raises(DomainError):
-        TangentTerm(0.5, t_max=math.pi ** 2 / 6)
-    assert TangentTerm(t_max=1.0).domain_end == 1.0
-
-
 def test_value_at_domain_end_for_any_radius():
     # domain_end / r**2 can round one ulp above t_max; the term must still
     # evaluate at its own domain end
@@ -207,7 +199,7 @@ def test_value_at_domain_end_for_any_radius():
     for r in (0.31375, 0.7, 1.0, 3.3):
         term = TangentTerm(r)
         assert term.value(term.domain_end) == pytest.approx(
-            r * driving_term(T_MAX_DEFAULT), rel=1e-15)
+            r * solve_params(T_MAX_DEFAULT).gamma_prevertex, rel=1e-15)
 
 
 @given(r=st.floats(0.25, 4.0), u=st.floats(0.0, 1.0))
