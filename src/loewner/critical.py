@@ -7,7 +7,7 @@ strictly increasing sequence with limit 4 (numerically y_n matches
 never used as ground truth). The iteration c_0 = c, c_{n+1} = c - 4/((1+eps)*c_n)
 must stay positive for a boundary collision at t = 1 to be possible, which
 forces c >= 4/(1+eps). The experiment side drives the family
-lambda_c(t) = c - c*sqrt(1-t) (norm c) against a grid of starting points and
+lambda_c(t) = c - c*sqrt(1-t) (norm c) from one starting point per c and
 reports the empirical threshold of collision by t = 1.
 """
 
@@ -28,10 +28,10 @@ POLE_TOL = 1e-12
 #: bisection width of each zero y_n
 Y_TOL = 1e-12
 
-#: threshold experiment: solver tolerance, and the slack past t = 1 within
-#: which a collision still counts (c = 4 collides exactly at t = 1)
+#: threshold experiment: solver tolerance, and the start point's offset to
+#: the right of lambda(0)
 SCAN_TOL = 1e-9
-T1_SLACK = 1e-3
+X0_OFFSET = 1e-3
 
 
 def g_eval(n: int, y: float) -> float:
@@ -168,29 +168,22 @@ def c_grid(c_min: float, c_max: float, c_step: float) -> np.ndarray:
     return c_min + c_step * np.arange(math.ceil((c_max + 1e-9 - c_min) / c_step))
 
 
-def default_x0_grid(lam0: float = 0.0) -> np.ndarray:
-    """Geometric grid of starting points to the right of lambda(0)."""
-    return lam0 + np.geomspace(1e-3, 20.0, 200)
+def collision_threshold_experiment(c_grid) -> ThresholdExperiment:
+    """For each c, does a point x0 > lambda(0) collide with
+    lambda_c(t) = c - c*sqrt(1-t) by t=1?
 
-
-def collision_threshold_experiment(c_grid, x0_grid=None) -> ThresholdExperiment:
-    """For each c, does some x0 collide with lambda_c(t) = c - c*sqrt(1-t) by t=1?
-
-    Collision by t=1 includes the endpoint within ``T1_SLACK`` (the c=4 case
-    collides exactly at t=1). The x0 scan short-circuits on the first hit.
+    One solve per c, from x0 = lambda(0) + ``X0_OFFSET``, decides it. Real
+    solutions of dx/dt = 2/(x - lambda(t)) never cross, so a point nearer
+    lambda(0) stays nearer lambda(t) and is swallowed no later than any point
+    farther out: if this one is not swallowed by t=1, none to its right is.
     """
-    cs = np.asarray(c_grid, dtype=float)
     verdicts = []
-    for c in cs:
+    for c in np.asarray(c_grid, dtype=float):
         term = Lind(float(c))
-        grid = default_x0_grid(term.value(0.0)) if x0_grid is None \
-            else np.asarray(x0_grid, dtype=float)
-        hit_t = hit_x0 = None
-        for x0 in grid:
-            traj = evolve_boundary(term, float(x0), 1.0, SCAN_TOL, record=False)
-            if traj.is_swallowed and traj.swallowed_at <= 1.0 + T1_SLACK:
-                hit_t, hit_x0 = traj.swallowed_at, float(x0)
-                break
-        verdicts.append(ThresholdVerdict(c=float(c), collides=hit_t is not None,
-                                         first_collision_t=hit_t, x0=hit_x0))
+        x0 = term.value(0.0) + X0_OFFSET
+        traj = evolve_boundary(term, x0, 1.0, SCAN_TOL, record=False)
+        hit = traj.is_swallowed
+        verdicts.append(ThresholdVerdict(c=float(c), collides=hit,
+                                         first_collision_t=traj.swallowed_at,
+                                         x0=x0 if hit else None))
     return ThresholdExperiment(verdicts=tuple(verdicts))

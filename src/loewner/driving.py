@@ -55,7 +55,7 @@ class DrivingTerm:
 
     def check_covers(self, t_end: float) -> None:
         """Raise DomainError unless the term is defined on all of [0, t_end]."""
-        if t_end < 0:
+        if not t_end >= 0:  # NaN fails too
             raise DomainError("t_end must be nonnegative")
         if self.domain_end is not None and t_end > self.domain_end * (1 + 1e-12):
             raise DomainError(

@@ -74,7 +74,7 @@ def solve_scalar(f, t0: float, y0, t_end: float, *, rtol: float = 1e-10,
     max_steps = MAX_STEPS
     t = float(t0)
     y = y0
-    if t_end < t:
+    if not t_end >= t:  # NaN fails too
         raise ValueError("t_end must be >= t0")
 
     cap = np.unique(np.asarray([] if capture is None else capture, dtype=float))

@@ -126,3 +126,11 @@ def test_computational_failure_exits_one(tmp_path, capsys):
                "--start", "2", "--t-end", "2.0", "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_nan_t_end_is_rejected(tmp_path, capsys):
+    # NaN passes every `t_end < bound` test; the guards must reject it
+    rc = main(["evolve", "--geometry", "halfplane", "--term", "lind:4",
+               "--start", "2", "--t-end", "nan", "--out", str(tmp_path / "x.csv")])
+    assert rc != 0
+    assert capsys.readouterr().err.startswith("error:")

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from loewner import Lind, PoleError
-from loewner.critical import (c_grid, c_iteration, collision_threshold_experiment, g_eval,
-                              y_sequence)
+from loewner.critical import (SCAN_TOL, ThresholdVerdict, c_grid, c_iteration,
+                              collision_threshold_experiment, g_eval, y_sequence)
+from loewner.halfplane import evolve_boundary
 
 
 def test_g_values_by_substitution():
@@ -93,8 +95,7 @@ def test_c_grid_node_count_matches_arange():
 
 
 def test_threshold_experiment_small_grid():
-    exp = collision_threshold_experiment([3.5, 4.0, 4.4],
-                                         x0_grid=np.geomspace(0.5, 4.0, 12))
+    exp = collision_threshold_experiment([3.5, 4.0, 4.4])
     by_c = {v.c: v for v in exp.verdicts}
     assert not by_c[3.5].collides
     assert by_c[4.0].collides
@@ -105,10 +106,42 @@ def test_threshold_experiment_small_grid():
 
 
 def test_lind_collision_from_x0_two():
-    exp = collision_threshold_experiment([4.0], x0_grid=[2.0])
-    v = exp.verdicts[0]
-    assert v.collides and v.x0 == 2.0
-    assert v.first_collision_t == pytest.approx(1.0, abs=1e-3)
+    traj = evolve_boundary(Lind(4.0), 2.0, 1.0)
+    assert traj.is_swallowed
+    assert traj.swallowed_at == pytest.approx(1.0, abs=1e-3)
+
+
+def _serial_scan(c: float) -> ThresholdVerdict:
+    """Reference verdict: the first of 200 start points right of lambda(0)
+    that is swallowed by t = 1."""
+    term = Lind(c)
+    for x0 in term.value(0.0) + np.geomspace(1e-3, 20.0, 200):
+        traj = evolve_boundary(term, float(x0), 1.0, SCAN_TOL, record=False)
+        if traj.is_swallowed:
+            return ThresholdVerdict(c=c, collides=True, first_collision_t=traj.swallowed_at,
+                                    x0=float(x0))
+    return ThresholdVerdict(c=c, collides=False, first_collision_t=None, x0=None)
+
+
+def test_one_solve_verdict_matches_the_serial_scan():
+    cs = (3.6, 3.9, 3.92, 3.925, 3.95, 3.99, 4.0, 4.3)
+    exp = collision_threshold_experiment(cs)
+    assert exp.verdicts == tuple(_serial_scan(c) for c in cs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=st.floats(3.5, 4.5), a=st.floats(1e-5, 20.0), b=st.floats(1e-5, 20.0))
+def test_nearer_point_is_swallowed_no_later(c, a, b):
+    # real solutions never cross, so the point nearer lambda(0) = 0 goes first;
+    # start points within collision_delta (1e-6) of lambda(0) are rejected
+    assume(a != b)
+    x0, x1 = min(a, b), max(a, b)
+    term = Lind(c)
+    near = evolve_boundary(term, x0, 1.0, SCAN_TOL, record=False)
+    far = evolve_boundary(term, x1, 1.0, SCAN_TOL, record=False)
+    if far.is_swallowed:
+        assert near.is_swallowed
+        assert near.swallowed_at <= far.swallowed_at + 1e-9
 
 
 def test_disk_side_verdicts_match():

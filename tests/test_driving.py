@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -103,8 +105,9 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_entry_points_check_the_domain(entry):
     term = Lind(4.0)
-    with pytest.raises(DomainError):
-        ENTRY_POINTS[entry](term, 1.5 * term.domain_end)
+    for t_end in (1.5 * term.domain_end, math.nan):
+        with pytest.raises(DomainError):
+            ENTRY_POINTS[entry](term, t_end)
 
 def test_check_covers():
     Lind(4.0).check_covers(1.0)

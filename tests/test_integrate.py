@@ -47,6 +47,12 @@ def test_t_end_equals_t0():
     assert res.values.tolist() == [5.0]
 
 
+def test_t_end_before_t0_or_nan_is_rejected():
+    for t_end in (-0.5, math.nan):
+        with pytest.raises(ValueError):
+            solve_scalar(lambda t, y: -y, 0.0, 1.0, t_end)
+
+
 def test_step_floor_failure_carries_state():
     # integrable singularity y' = 1/(2 sqrt(1-t)) with a tolerance the floor
     # cannot satisfy across the endpoint

@@ -5,6 +5,7 @@ import importlib.util
 from pathlib import Path
 
 from loewner import Constant, Lind
+from loewner.critical import collision_threshold_experiment
 from loewner.disk import evolve_disk_boundary
 from loewner.halfplane import evolve_boundary
 from loewner.trace import extract_trace
@@ -60,6 +61,11 @@ def test_benchmark_patch_points_resolve_and_restore():
                                      evolve_disk_boundary(Constant(0.0), 2.0, 0.5),
                                      extract_trace(Constant(0.0), [0.25])), None)
         assert tracer.totals["integrate.solve_scalar"][0] == 5  # 1 + 1 + 3 eps levels
+        # the threshold experiment reaches evolve_boundary through critical's
+        # global, once per verdict
+        tracer.run_job(1, collision_threshold_experiment, [3.6, 4.2])
+        assert tracer.totals["halfplane.evolve_boundary"][0] == 2
+        assert tracer.counts["critical.solves"] == 2
     finally:
         tracer.uninstall()
     for owner, attr, original in patches:
