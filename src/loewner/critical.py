@@ -108,10 +108,10 @@ def c_iteration(c: float, eps: float = 1e-6, n_max: int = 10000) -> CIterationRe
     Positivity of every c_n is the necessary condition for a collision at
     t = 1 under a driving term of norm c; it fails for c below ~4/(1+eps).
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    if not 0 < c < math.inf:  # NaN fails too
+        raise ValueError("c must be positive and finite")
+    if not 0 <= eps < math.inf:
+        raise ValueError("eps must be finite and >= 0")
     vals = [float(c)]
     crossed = None
     for n in range(1, n_max + 1):

@@ -56,6 +56,8 @@ def _boundary_flow(term: DrivingTerm):
 def _evolve(flow, term: DrivingTerm, y0, t_end: float, tol: float, collision_delta: float,
             capture, record: bool = True) -> Trajectory:
     """Solve ``flow`` from (0, y0) with swallowing detection; the samples keep y0's type."""
+    if not cmath.isfinite(y0):
+        raise ValueError(f"start point {y0!r} is not finite")
     term.check_covers(t_end)
     f, gap = flow(term)
     res = solve_scalar(f, 0.0, y0, t_end, rtol=tol, atol=tol,

@@ -55,8 +55,8 @@ class DrivingTerm:
 
     def check_covers(self, t_end: float) -> None:
         """Raise DomainError unless the term is defined on all of [0, t_end]."""
-        if not t_end >= 0:  # NaN fails too
-            raise DomainError("t_end must be nonnegative")
+        if not 0 <= t_end < math.inf:  # NaN fails too
+            raise DomainError("t_end must be finite and nonnegative")
         if self.domain_end is not None and t_end > self.domain_end * (1 + 1e-12):
             raise DomainError(
                 f"t_end={t_end!r} exceeds the term's domain end {self.domain_end!r}")

@@ -13,6 +13,7 @@ square-root ansatz handoff into the adaptive integrator.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -33,9 +34,6 @@ BOOTSTRAP_T0 = 1e-8
 
 #: the ansatz is seeded this much earlier than t0 and integrated up to t0
 _SEED_REFINEMENT = 256.0
-
-#: size of the shared grid on which singular_family checks straddling and nesting
-FAMILY_CHECK_POINTS = 33
 
 
 @dataclass(frozen=True)
@@ -94,6 +92,8 @@ def _flow(term: DrivingTerm):
 def _evolve(term: DrivingTerm, y0, t_end: float, tol: float, collision_delta: float,
             capture, record: bool = True) -> Trajectory:
     """Solve from (0, y0) with swallowing detection; the samples keep y0's type."""
+    if not cmath.isfinite(y0):
+        raise ValueError(f"start point {y0!r} is not finite")
     term.check_covers(t_end)
     f, gap = _flow(term)
     res = solve_scalar(f, 0.0, y0, t_end, rtol=tol, atol=tol,
@@ -246,36 +246,3 @@ def ratio_limsup_check(term: DrivingTerm, t_grid, *, tol: float = 1e-10) -> Rati
     phi = (plus.values_at(grid).astype(float) - lam0) / np.sqrt(grid)
     return RatioDiagnostic(times=grid, ratio=phi, bound=sharp_ratio_bound(float(c)),
                            norm_used=float(c))
-
-
-def singular_family(term: DrivingTerm, tau_grid, t_end: float,
-                    tol: float = 1e-10) -> list[tuple[Trajectory, Trajectory]]:
-    """Pairs of singular solutions restarted from the slit tip at each tau.
-
-    Each pair starts at h(gamma(tau), tau) = lambda(tau). Straddling of the
-    driving term and strict nesting of later-started pairs inside earlier ones
-    are checked on a shared grid; violations raise LoewnerError.
-    """
-    taus = np.sort(np.asarray(tau_grid, dtype=float))
-    if taus.size == 0 or np.any(taus < 0) or np.any(taus >= t_end):
-        raise ValueError("tau_grid must lie within [0, t_end)")
-    t_lo = float(taus[-1]) + (t_end - float(taus[-1])) / 64.0
-    n = FAMILY_CHECK_POINTS
-    shared = np.geomspace(t_lo, t_end, n) if t_lo > 0 else np.linspace(t_end / n, t_end, n)
-    pairs = []
-    for tau in taus:
-        cap = shared[shared > tau]
-        minus = _singular(term, -1, float(tau), t_end, tol, capture=cap)
-        plus = _singular(term, +1, float(tau), t_end, tol, capture=cap)
-        for t in cap:
-            lam_t = term.value(float(t))
-            if not (minus.value_at(t) < lam_t < plus.value_at(t)):
-                raise LoewnerError(
-                    f"singular pair from tau={tau!r} fails to straddle lambda at t={t!r}")
-        pairs.append((minus, plus))
-    for (m1, p1), (m2, p2), tau2 in zip(pairs, pairs[1:], taus[1:]):
-        for t in shared[shared > tau2]:
-            if not (m1.value_at(t) < m2.value_at(t) and p2.value_at(t) < p1.value_at(t)):
-                raise LoewnerError(
-                    f"singular family pairs are not nested at t={t!r}")
-    return pairs

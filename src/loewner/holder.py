@@ -42,9 +42,10 @@ class HolderFit:
 def holder_sup_norm(times, values, exponent: float = 0.5) -> float:
     """Sup of |f(t)-f(s)| / (t-s)**exponent over sample pairs.
 
-    All O(n^2) pairs are scanned up to ``DENSE_PAIR_LIMIT`` samples; beyond that a
-    dyadic subset is used (all pairs at power-of-two index gaps plus all pairs
-    anchored at the first and last samples, which capture power-law sups).
+    Pairs are scanned one index gap g at a time, so memory stays O(n). Up to
+    ``DENSE_PAIR_LIMIT`` samples every gap 1..n-1 is taken, i.e. all O(n^2)
+    pairs; beyond that only the power-of-two gaps, plus all pairs anchored at
+    the first and last samples (which capture power-law sups).
 
     Parameters
     ----------
@@ -59,41 +60,26 @@ def holder_sup_norm(times, values, exponent: float = 0.5) -> float:
         raise ValueError("need >= 2 samples with matching times/values")
     if not np.all(np.diff(t) > 0):
         raise ValueError("times must be strictly increasing")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        raise ValueError("times and values must be finite")
     if not (0.0 < exponent <= 1.0):
         raise ValueError("exponent must lie in (0, 1]")
 
     n = t.size
     if n <= DENSE_PAIR_LIMIT:
-        best = 0.0
-        block = 512
-        for i0 in range(0, n - 1, block):
-            i1 = min(i0 + block, n - 1)
-            ti = t[i0:i1, None]
-            vi = v[i0:i1, None]
-            # strictly-upper-triangular part of each block row range
-            dt = t[None, i0 + 1:] - ti
-            dv = np.abs(v[None, i0 + 1:] - vi)
-            mask = dt > 0
-            if np.any(mask):
-                best = max(best, float(np.max(dv[mask] / dt[mask] ** exponent)))
-        return best
+        gaps = range(1, n)
+    else:
+        gaps = [1 << k for k in range((n - 1).bit_length())]  # powers of two below n
 
-    idx_pairs_i = []
-    idx_pairs_j = []
-    gap = 1
-    while gap < n:
-        i = np.arange(0, n - gap)
-        idx_pairs_i.append(i)
-        idx_pairs_j.append(i + gap)
-        gap *= 2
-    j_all = np.arange(1, n)
-    idx_pairs_i.append(np.zeros(n - 1, dtype=int))
-    idx_pairs_j.append(j_all)
-    idx_pairs_i.append(np.arange(0, n - 1))
-    idx_pairs_j.append(np.full(n - 1, n - 1))
-    ii = np.concatenate(idx_pairs_i)
-    jj = np.concatenate(idx_pairs_j)
-    return float(np.max(np.abs(v[jj] - v[ii]) / (t[jj] - t[ii]) ** exponent))
+    def sup(dv, dt):
+        return float(np.max(np.abs(dv) / dt ** exponent))
+
+    best = max(sup(v[g:] - v[:-g], t[g:] - t[:-g]) for g in gaps)
+    if n > DENSE_PAIR_LIMIT:
+        # pairs anchored at the first and at the last sample
+        best = max(best, sup(v[1:] - v[0], t[1:] - t[0]),
+                   sup(v[-1] - v[:-1], t[-1] - t[:-1]))
+    return best
 
 
 def holder_exponent_fit(times, values,

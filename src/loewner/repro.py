@@ -15,8 +15,8 @@ import numpy as np
 
 from . import bridge, critical, tangent, trace
 from .driving import Constant, FromCallable, Lind, Sqrt
-from .halfplane import (evolve_boundary, evolve_interior, sharp_ratio_bound,
-                        singular_minus, singular_plus)
+from .halfplane import (evolve_boundary, evolve_interior, ratio_limsup_check,
+                        swallowed_interval)
 from .holder import holder_exponent_fit, holder_sup_norm
 
 # --- pinned tolerances -------------------------------------------------------
@@ -91,10 +91,8 @@ def check_sharp_ratio() -> CheckResult:
     grid = np.geomspace(1e-6, 1.0, 25)
     worst = 0.0
     for c in (0.0, 1.0, 4.0):
-        bound = sharp_ratio_bound(c)
-        plus = singular_plus(Sqrt(c), 1.0, tol=1e-12, capture=grid)
-        phi = plus.values_at(grid).astype(float) / np.sqrt(grid)
-        worst = max(worst, float(np.max(np.abs(phi / bound - 1.0))))
+        diag = ratio_limsup_check(Sqrt(c), grid, tol=1e-12)
+        worst = max(worst, float(np.max(np.abs(diag.ratio / diag.bound - 1.0))))
     return _result("sharp growth-ratio bound", worst <= SHARP_RATIO_RTOL,
                    f"max rel dev {worst:.2e} over c in {{0, 1, 4}}")
 
@@ -123,16 +121,10 @@ def check_tangent_exponents() -> CheckResult:
 
 def check_singular_interval_match() -> CheckResult:
     """Criterion 5: h-+ under the tangent driving term reproduce alpha, beta."""
-    term = tangent.TangentTerm(1.0)
-    grid = SINGULAR_MATCH_GRID
-    minus = singular_minus(term, float(grid[-1]), tol=1e-11, capture=grid)
-    plus = singular_plus(term, float(grid[-1]), tol=1e-11, capture=grid)
     worst = 0.0
-    for t in grid:
-        p = tangent.solve_params(float(t))
-        worst = max(worst,
-                    abs(minus.value_at(t) / p.alpha - 1.0),
-                    abs(plus.value_at(t) / p.beta - 1.0))
+    for iv in swallowed_interval(tangent.TangentTerm(1.0), SINGULAR_MATCH_GRID, tol=1e-11):
+        p = tangent.solve_params(iv.t)
+        worst = max(worst, abs(iv.lower / p.alpha - 1.0), abs(iv.upper / p.beta - 1.0))
     return _result("singular interval vs prevertices", worst <= SINGULAR_MATCH_RTOL,
                    f"max rel dev {worst:.2e} on t in [1e-5, 1e-3]")
 

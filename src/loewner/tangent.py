@@ -1,4 +1,4 @@
-"""Exact map for the half-plane slit along a circular arc tangent to the real line.
+"""Prevertices and driving term of the half-plane slit along a tangent circular arc.
 
 The slit grows along the circle of radius 1 centered at i, tangent to the real
 axis at the origin. The inverse map f(., t): H -> H minus the arc has a closed
@@ -40,10 +40,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .driving import DrivingTerm
-from .errors import DomainError, PoleError, RootFindingError
+from .errors import DomainError, RootFindingError
 
 #: end of the unit-radius domain; the construction is local near t = 0 and the
 #: scalar equation has the small-root branch only while P has two positive
@@ -151,36 +149,6 @@ def solve_params(t: float) -> SlitParams:
     alpha = -s * s
     beta = alpha + 2.0 * s * _SQRT_PI
     return SlitParams(t, alpha, beta, 2.0 * alpha + beta)
-
-
-def _log1p_complex(z):
-    """log(1 + z) for complex z without cancellation (Kahan's trick)."""
-    z = np.asarray(z, dtype=complex)
-    u = 1.0 + z
-    correction = np.where(u == 1.0, 1.0, np.log(np.where(u == 1.0, 2.0, u)) / np.where(u == 1.0, 1.0, u - 1.0))
-    return z * correction
-
-
-def evaluate_map(params: SlitParams, w):
-    """The slit map f(w, t) for w in the closed half-plane, w not a prevertex.
-
-    Vectorized over complex arrays. The principal logarithm is the correct
-    branch: on the closed upper half-plane the ratio (w - alpha)/(w - beta)
-    never crosses the negative real axis, and log -> 0 at infinity. The log is
-    evaluated as log1p((beta - alpha)/(w - beta)) to avoid cancellation at
-    large |w| (needed for capacity extraction).
-    """
-    if params.t == 0.0:
-        return w
-    a, b = params.alpha, params.beta
-    warr = np.asarray(w, dtype=complex)
-    scale = max(abs(a), abs(b))
-    if np.any(np.abs(warr - a) < 1e-14 * scale) or np.any(np.abs(warr - b) < 1e-14 * scale):
-        raise PoleError("w coincides with a prevertex of the slit map")
-    inv = _log1p_complex((b - a) / (warr - b)) / (2.0 * math.pi) \
-        + ((a + b) / (b - a)) / (warr - a)
-    out = 1.0 / inv
-    return complex(out) if np.isscalar(w) or np.asarray(w).ndim == 0 else out
 
 
 class TangentTerm(DrivingTerm):

@@ -69,16 +69,3 @@ def _richardson(vals) -> complex:
     order = math.log2(abs(d_prev) / abs(d_last))
     order = min(max(order, 0.5), 4.0)
     return v[-1] + d_last / (2.0 ** order - 1.0)
-
-
-def forward_consistency(term: DrivingTerm, t: float, tip: complex,
-                        tol: float = 1e-10) -> float:
-    """Distance |h(tip, t) - lambda(t)| after evolving a computed tip forward.
-
-    The exact tip maps to the driving point; the square-root behavior of the
-    map near the slit amplifies a tip error e to a gap of order sqrt(t * e).
-    """
-    from .halfplane import evolve_interior
-
-    traj = evolve_interior(term, tip, t, tol)
-    return abs(complex(traj.final_value) - term.value(traj.final_time))

@@ -118,6 +118,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["evolve", "--geometry", "halfplane", "--term", "bogus:1",
                  "--start", "1,1", "--t-end", "1", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["norm", "--input", str(tmp_path / "missing.csv")]) == 2
+    # non-finite inputs are usage errors, not numerical failures or NaN output
+    for geometry, start in (("halfplane", "nan"), ("disk", "nan"), ("disk", "nan,1")):
+        assert main(["evolve", "--geometry", geometry, "--term", "sqrt:1", "--start", start,
+                     "--t-end", "0.5", "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["critical", "--mode", "c-iteration", "--c", "nan"]) == 2
 
 
 def test_computational_failure_exits_one(tmp_path, capsys):

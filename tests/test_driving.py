@@ -114,7 +114,8 @@ def test_check_covers():
     Lind(4.0).check_covers(1.0 + 1e-13)  # relative rounding slack
     with pytest.raises(DomainError):
         Lind(4.0).check_covers(-1e-3)
-    # no domain_end: every t_end >= 0 is covered, negative ones are not
+    # no domain_end: every finite t_end >= 0 is covered, negative and infinite ones are not
     Constant(0.0).check_covers(1e9)
-    with pytest.raises(DomainError):
-        Constant(0.0).check_covers(-1.0)
+    for t_end in (-1.0, math.inf):
+        with pytest.raises(DomainError):
+            Constant(0.0).check_covers(t_end)

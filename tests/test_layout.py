@@ -1,7 +1,9 @@
-"""Package layout checks: module boundaries and the benchmark's patch points."""
+"""Package layout checks: module boundaries, callers of public functions and the
+benchmark's patch points."""
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 from loewner import Constant, Lind
@@ -39,6 +41,49 @@ def _private_imports(path: Path) -> list[str]:
 def test_no_module_imports_another_modules_private_names():
     offenders = {p.name: _private_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def _exported_names(trees) -> set[str]:
+    names = set()
+    for tree in trees:
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                names |= set(ast.literal_eval(node.value))
+    return names
+
+
+def _referenced_name(node) -> str | None:
+    """The name a node refers to by load, attribute access or import."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def _unreferenced_public_functions() -> list[str]:
+    """Public module-level functions that no src/ code outside their own body
+    refers to and that no ``__all__`` lists."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    exported = _exported_names(trees.values())
+    refs = Counter(_referenced_name(node) for tree in trees.values() for node in ast.walk(tree))
+    found = []
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if (isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                    and fn.name not in exported):
+                own = sum(_referenced_name(node) == fn.name for node in ast.walk(fn))
+                if refs[fn.name] == own:
+                    found.append(f"{module}.{fn.name}")
+    return found
+
+
+def test_every_public_function_has_a_caller_in_src():
+    # a function only its own test calls belongs in that test module
+    assert _unreferenced_public_functions() == []
 
 
 def _load_spans():

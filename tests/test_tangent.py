@@ -8,8 +8,38 @@ from hypothesis import given, strategies as st
 
 from loewner import DomainError, PoleError
 from loewner.halfplane import evolve_interior
-from loewner.tangent import (T_MAX_DEFAULT, TangentTerm, evaluate_map, series_coefficients,
+from loewner.tangent import (T_MAX_DEFAULT, TangentTerm, series_coefficients,
                              solve_params)
+
+
+def _log1p_complex(z):
+    """log(1 + z) for complex z without cancellation (Kahan's trick)."""
+    z = np.asarray(z, dtype=complex)
+    u = 1.0 + z
+    correction = np.where(u == 1.0, 1.0, np.log(np.where(u == 1.0, 2.0, u)) / np.where(u == 1.0, 1.0, u - 1.0))
+    return z * correction
+
+
+def evaluate_map(params, w):
+    """The slit map f(w, t) for w in the closed half-plane, w not a prevertex.
+
+    Vectorized over complex arrays. The principal logarithm is the correct
+    branch: on the closed upper half-plane the ratio (w - alpha)/(w - beta)
+    never crosses the negative real axis, and log -> 0 at infinity. The log is
+    evaluated as log1p((beta - alpha)/(w - beta)) to avoid cancellation at
+    large |w| (needed for capacity extraction).
+    """
+    if params.t == 0.0:
+        return w
+    a, b = params.alpha, params.beta
+    warr = np.asarray(w, dtype=complex)
+    scale = max(abs(a), abs(b))
+    if np.any(np.abs(warr - a) < 1e-14 * scale) or np.any(np.abs(warr - b) < 1e-14 * scale):
+        raise PoleError("w coincides with a prevertex of the slit map")
+    inv = _log1p_complex((b - a) / (warr - b)) / (2.0 * math.pi) \
+        + ((a + b) / (b - a)) / (warr - a)
+    out = 1.0 / inv
+    return complex(out) if np.isscalar(w) or np.asarray(w).ndim == 0 else out
 
 
 def test_series_coefficients_arithmetic():
