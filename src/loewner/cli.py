@@ -55,6 +55,8 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_singular(args) -> int:
+    if args.n < 2:
+        raise ValueError("--n must be >= 2")
     term = parse_term(args.term)
     grid = np.geomspace(max(args.t_end * 1e-8, 1e-12), args.t_end, args.n)
     minus = singular_minus(term, args.t_end, args.tol, capture=grid)

@@ -53,6 +53,8 @@ def y_sequence(n_max: int) -> np.ndarray:
     g_n rises from -inf just right of y_{n-1} (where g_{n-1} vanishes) to a
     positive value at 4, so the bracket always carries a sign change.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     ys = []
     prev = POLE_TOL  # g_1 has a pole at 0; y_1 lies in (0, 4)
     for n in range(1, n_max + 1):
@@ -112,6 +114,8 @@ def c_iteration(c: float, eps: float = 1e-6, n_max: int = 10000) -> CIterationRe
         raise ValueError("c must be positive and finite")
     if not 0 <= eps < math.inf:
         raise ValueError("eps must be finite and >= 0")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     vals = [float(c)]
     crossed = None
     for n in range(1, n_max + 1):
@@ -163,8 +167,12 @@ def c_grid(c_min: float, c_max: float, c_step: float) -> np.ndarray:
     grows with k: it puts 3.9999999999999982 where 4 should be on the default
     grid. The node count is that of np.arange(c_min, c_max + 1e-9, c_step).
     """
+    if not all(map(math.isfinite, (c_min, c_max, c_step))):
+        raise ValueError("c_min, c_max and c_step must be finite")
     if not c_step > 0:
         raise ValueError("c_step must be positive")
+    if c_max < c_min:
+        raise ValueError("c_max must be >= c_min")
     return c_min + c_step * np.arange(math.ceil((c_max + 1e-9 - c_min) / c_step))
 
 

@@ -12,6 +12,13 @@ complex right-hand sides. Two features are tailored to Loewner dynamics:
 
 Steps never shrink below an absolute floor of 1e-14; if the error control
 demands less, integration fails loudly with the last valid state.
+
+Every scalar on the per-step path is a Python ``float`` or ``complex``: the
+start point is converted once and the capture times are held as a list. A
+numpy scalar taken from an array (say ``cap[i]``) would spread through
+``h``, ``t``, ``y`` and every stage time into the right-hand side, and numpy
+scalar arithmetic costs about twice as much per operation. Real results are
+the same IEEE operations either way.
 """
 
 from __future__ import annotations
@@ -73,12 +80,14 @@ def solve_scalar(f, t0: float, y0, t_end: float, *, rtol: float = 1e-10,
     h_floor = H_FLOOR
     max_steps = MAX_STEPS
     t = float(t0)
-    y = y0
+    t_end = float(t_end)
+    y = complex(y0) if np.iscomplexobj(y0) else float(y0)
     if not t_end >= t:  # NaN fails too
         raise ValueError("t_end must be >= t0")
 
     cap = np.unique(np.asarray([] if capture is None else capture, dtype=float))
-    cap = cap[(cap > t) & (cap <= t_end)]
+    cap = cap[(cap > t) & (cap <= t_end)].tolist()
+    n_cap = len(cap)
     icap = 0
 
     times = [t]
@@ -101,7 +110,7 @@ def solve_scalar(f, t0: float, y0, t_end: float, *, rtol: float = 1e-10,
             raise IntegrationError("step budget exhausted", t, y)
 
         h = max(h_prop, h_floor)
-        target = cap[icap] if icap < cap.size else t_end
+        target = cap[icap] if icap < n_cap else t_end
         capped = t + h >= target
         if capped:
             h = target - t
@@ -138,7 +147,7 @@ def solve_scalar(f, t0: float, y0, t_end: float, *, rtol: float = 1e-10,
                 return _result(times, values, swallowed_at=tau, n_steps=n_steps)
 
         t, y, k1 = t_new, y_new, k7
-        if icap < cap.size and t >= cap[icap]:
+        if icap < n_cap and t >= cap[icap]:
             icap += 1
         if record:
             times.append(t)

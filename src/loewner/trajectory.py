@@ -61,7 +61,24 @@ class Trajectory:
         raise KeyError(f"time {t!r} is not a sample of this trajectory")
 
     def values_at(self, ts) -> np.ndarray:
-        return np.array([self.value_at(t) for t in np.asarray(ts, dtype=float).ravel()])
+        """``value_at`` for every time of ``ts`` at once; raises KeyError on
+        the first time that is not a sample.
+
+        Like ``value_at``, the sample below each time wins over the one at or
+        above it when both lie within the tolerance. ``value_at`` also tries
+        the next sample up, but times increase strictly, so whenever that one
+        is within the tolerance the one before it is too.
+        """
+        ts = np.asarray(ts, dtype=float).ravel()
+        times = self.times
+        tol = 1e-12 * np.maximum(1.0, np.abs(ts))
+        i = np.searchsorted(times, ts)
+        below = np.maximum(i - 1, 0)
+        pick = np.where(np.abs(times[below] - ts) <= tol, below, np.minimum(i, times.size - 1))
+        missing = ~(np.abs(times[pick] - ts) <= tol)
+        if missing.any():
+            raise KeyError(f"time {ts[missing.argmax()]!r} is not a sample of this trajectory")
+        return self.values[pick]
 
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:

@@ -123,6 +123,13 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert main(["evolve", "--geometry", geometry, "--term", "sqrt:1", "--start", start,
                      "--t-end", "0.5", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["critical", "--mode", "c-iteration", "--c", "nan"]) == 2
+    # a c grid that is unbounded or reversed, and counts that yield no result
+    assert main(["critical", "--mode", "threshold", "--c-max", "inf"]) == 2
+    assert main(["critical", "--mode", "threshold", "--c-min", "4", "--c-max", "3"]) == 2
+    assert main(["critical", "--mode", "c-iteration", "--n-max", "0"]) == 2
+    assert main(["critical", "--mode", "y-sequence", "--n", "-2"]) == 2
+    assert main(["singular", "--term", "sqrt:1", "--t-end", "1", "--n", "0",
+                 "--out", str(tmp_path / "s.csv")]) == 2
 
 
 def test_computational_failure_exits_one(tmp_path, capsys):

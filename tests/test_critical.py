@@ -94,6 +94,18 @@ def test_c_grid_node_count_matches_arange():
         c_grid(3.5, 4.5, 0.0)
 
 
+def test_empty_or_unbounded_inputs_are_rejected():
+    for bounds in ((3.5, math.inf, 0.05), (-math.inf, 4.5, 0.05), (3.5, 4.5, math.nan),
+                   (3.5, 4.5, math.inf), (4.0, 3.0, 0.05)):
+        with pytest.raises(ValueError):
+            c_grid(*bounds)
+    assert c_grid(4.0, 4.0, 0.05).tolist() == [4.0]
+    with pytest.raises(ValueError):
+        c_iteration(4.0, n_max=0)
+    with pytest.raises(ValueError):
+        y_sequence(0)
+
+
 def test_threshold_experiment_small_grid():
     exp = collision_threshold_experiment([3.5, 4.0, 4.4])
     by_c = {v.c: v for v in exp.verdicts}
@@ -129,7 +141,7 @@ def test_one_solve_verdict_matches_the_serial_scan():
     assert exp.verdicts == tuple(_serial_scan(c) for c in cs)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(c=st.floats(3.5, 4.5), a=st.floats(1e-5, 20.0), b=st.floats(1e-5, 20.0))
 def test_nearer_point_is_swallowed_no_later(c, a, b):
     # real solutions never cross, so the point nearer lambda(0) = 0 goes first;

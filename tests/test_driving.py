@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -52,6 +53,34 @@ def test_sampled_interpolates_linearly():
     assert term.value(0.5) == pytest.approx(1.0)
     assert term.value(1.5) == pytest.approx(2.0)
     assert np.allclose(term.values([0.0, 0.25, 2.0]), [0.0, 0.5, 2.0])
+
+
+def reference_sampled_value(term, t):
+    """Sampled.value as an ndarray bisect with numpy-scalar arithmetic, the
+    reference for the list-backed lookup."""
+    ts, vs = term.times, term.table_values
+    t = min(max(float(t), 0.0), term.domain_end)  # slack-clipped ends
+    i = bisect_right(ts, t)
+    if i <= 0:
+        return float(vs[0]) + term.offset
+    if i >= ts.size:
+        return float(vs[-1]) + term.offset
+    t0, t1 = ts[i - 1], ts[i]
+    v0, v1 = vs[i - 1], vs[i]
+    return float(v0 + (v1 - v0) * (t - t0) / (t1 - t0)) + term.offset
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_value_equals_the_reference_lookup(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 400))
+    times = np.concatenate(([0.0], np.cumsum(rng.uniform(1e-6, 0.1, n - 1))))
+    term = Sampled(times, rng.normal(0.0, 3.0, n), offset=float(rng.normal()))
+    end = term.domain_end
+    slack = 0.5e-12 * max(1.0, end)
+    probes = np.concatenate((rng.uniform(0.0, end, 500), times, [0.0, end, -0.5e-12, end + slack]))
+    for t in probes:
+        assert term.value(t) == reference_sampled_value(term, t)
 
 
 def test_sampled_validation():

@@ -49,7 +49,7 @@ def reference_sup_norm(t, v, exponent):
     return float(np.max(np.abs(v[jj] - v[ii]) / (t[jj] - t[ii]) ** exponent))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(2, 80).flatmap(lambda n: st.tuples(
            st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n),
            st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))),

@@ -27,6 +27,28 @@ def test_capture_times_are_samples():
         assert res.values[i] == pytest.approx(math.exp(t), rel=1e-8)
 
 
+@pytest.mark.parametrize("y0", [np.float64(1.0), 1.0 + 0.5j])
+def test_stepper_passes_python_scalars_to_f_and_gap(y0):
+    # capture times come as an ndarray and y0 may be a numpy scalar; the
+    # right-hand side and the gap still see Python floats (complex y for a
+    # complex y0), never numpy scalars
+    y_type = complex if isinstance(y0, complex) else float
+    seen = set()
+
+    def f(t, y):
+        seen.add((type(t), type(y)))
+        return -y
+
+    def gap(t, y):
+        seen.add((type(t), type(y)))
+        return abs(y)
+
+    res = solve_scalar(f, 0.0, y0, 1.0, gap=gap, gap_threshold=1e-3,
+                       capture=np.linspace(0.0, 1.0, 11))
+    assert res.swallowed_at is None and res.times.size > 11
+    assert seen == {(float, y_type)}
+
+
 def test_collision_refinement():
     # y' = -1 from 1; gap = y crosses threshold 0.5 at t = 0.5 exactly
     res = solve_scalar(lambda t, y: -1.0, 0.0, 1.0, 2.0,

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from loewner import Trajectory, write_trajectory_csv
 
@@ -18,6 +21,46 @@ def test_value_lookup():
     assert traj.value_at(0.5) == 2.0
     with pytest.raises(KeyError):
         traj.value_at(0.25)
+
+
+@st.composite
+def trajectory_and_queries(draw):
+    """A real or complex trajectory and query times: samples, points within
+    (or just beyond) the 1e-12 relative tolerance of a sample, arbitrary
+    times, and an occasional NaN or infinity. Some samples lie closer together
+    than the tolerance, so a time can be near two of them."""
+    t0 = draw(st.floats(-10.0, 10.0))
+    steps = draw(st.lists(st.one_of(st.floats(1e-13, 3e-12), st.floats(1e-3, 1.0)),
+                          max_size=30))
+    times = t0 + np.cumsum([0.0] + steps)  # steps exceed the ulp of |t| <= 41
+    finite = dict(allow_nan=False, allow_infinity=False)
+    if draw(st.booleans()):
+        values = [draw(st.complex_numbers(max_magnitude=1e6, **finite)) for _ in times]
+    else:
+        values = [draw(st.floats(-1e6, 1e6, **finite)) for _ in times]
+    near = st.tuples(st.integers(0, times.size - 1), st.floats(-2e-12, 2e-12)).map(
+        lambda kd: times[kd[0]] + kd[1] * max(1.0, abs(times[kd[0]])))
+    query = st.one_of(near, st.sampled_from(times.tolist()), st.floats(-20.0, 20.0),
+                      st.sampled_from([math.nan, math.inf, -math.inf]))
+    return Trajectory(times, np.asarray(values)), draw(st.lists(query, max_size=20))
+
+
+@given(trajectory_and_queries())
+def test_values_at_equals_value_at_per_time(case):
+    traj, ts = case
+    try:
+        ref = np.array([traj.value_at(t) for t in np.asarray(ts, dtype=float)])
+    except KeyError as exc:
+        with pytest.raises(KeyError) as got:
+            traj.values_at(ts)
+        assert got.value.args == exc.args
+        return
+    got = traj.values_at(ts)
+    # the loop gives float64 on an empty ts; values_at keeps the values' dtype
+    assert got.dtype == traj.values.dtype
+    assert got.shape == ref.shape and np.array_equal(got, ref)
+    if ts:
+        assert ref.dtype == got.dtype
 
 
 def test_complex_csv_with_terminal_comment(tmp_path):
