@@ -26,7 +26,7 @@ import numpy as np
 from .disk import evolve_disk_boundary
 from .driving import DrivingTerm, Sampled
 from .errors import ConversionDomainError
-from .halfplane import DEFAULT_COLLISION_DELTA, evolve_boundary
+from .halfplane import evolve_boundary
 from .trajectory import Trajectory
 
 #: margin to the tan blowup at |alpha - u| = pi
@@ -61,34 +61,32 @@ def _validated_grid(t_grid) -> np.ndarray:
 
 
 def _companion_samples(evolve, term: DrivingTerm, start: float, grid: np.ndarray,
-                       tol: float, collision_delta: float):
+                       tol: float):
     """Solve the companion boundary flow on the grid; return the trajectory,
     the sample times (the grid, cut at the swallowing time), the flow's values
     and the term's values there."""
-    traj = evolve(term, start, float(grid[-1]), tol,
-                  collision_delta=collision_delta, capture=grid)
+    traj = evolve(term, start, float(grid[-1]), tol, capture=grid)
     times = traj.times[np.isin(traj.times, grid) | (traj.times == traj.times[-1])] \
         if traj.is_swallowed else grid
     return traj, times, traj.values_at(times).astype(float), term.values(times)
 
 
-def halfplane_to_disk(term: DrivingTerm, x0: float, t_grid, tol: float = 1e-10,
-                      *, collision_delta: float = DEFAULT_COLLISION_DELTA) -> ConversionResult:
+def halfplane_to_disk(term: DrivingTerm, x0: float, t_grid,
+                      tol: float = 1e-10) -> ConversionResult:
     """Convert a half-plane driving term to its disk companion along x(t, x0).
 
     Samples u(t) = x(t) - 2*arctan((x(t) - lambda(t))/2) on the grid; at t=0
     this gives u(0) = x0 - 2*arctan((x0 - lambda(0))/2) and alpha0 = x0.
     """
     grid = _validated_grid(t_grid)
-    traj, times, x, lam = _companion_samples(evolve_boundary, term, x0, grid, tol,
-                                             collision_delta)
+    traj, times, x, lam = _companion_samples(evolve_boundary, term, x0, grid, tol)
     u = x - 2.0 * np.arctan(0.5 * (x - lam))
     return ConversionResult(term=Sampled(times, u), trajectory=traj,
                             swallowed_at=traj.swallowed_at)
 
 
-def disk_to_halfplane(term: DrivingTerm, alpha0: float, t_grid, tol: float = 1e-10,
-                      *, collision_delta: float = DEFAULT_COLLISION_DELTA) -> ConversionResult:
+def disk_to_halfplane(term: DrivingTerm, alpha0: float, t_grid,
+                      tol: float = 1e-10) -> ConversionResult:
     """Convert a disk driving term to its half-plane companion along alpha(t, alpha0).
 
     Samples lambda(t) = alpha(t) - 2*tan((alpha(t) - u(t))/2) on the grid.
@@ -99,8 +97,7 @@ def disk_to_halfplane(term: DrivingTerm, alpha0: float, t_grid, tol: float = 1e-
     if abs(math.remainder(alpha0 - term.value(0.0), 2.0 * math.pi)) >= math.pi - _PI_MARGIN:
         raise ConversionDomainError(
             "alpha0 - u(0) is at the tan blowup (|difference| = pi)")
-    traj, times, alpha, u = _companion_samples(evolve_disk_boundary, term, alpha0, grid, tol,
-                                               collision_delta)
+    traj, times, alpha, u = _companion_samples(evolve_disk_boundary, term, alpha0, grid, tol)
     half = 0.5 * (alpha - u)
     if np.any(np.abs(np.arctan2(np.sin(half), np.cos(half))) >= 0.5 * math.pi - _PI_MARGIN):
         raise ConversionDomainError(
@@ -111,19 +108,16 @@ def disk_to_halfplane(term: DrivingTerm, alpha0: float, t_grid, tol: float = 1e-
 
 
 def correspondence_residual(term_lambda: DrivingTerm, term_u: DrivingTerm,
-                            x0: float, alpha0: float, t_grid,
-                            tol: float = 1e-10,
-                            *, collision_delta: float = DEFAULT_COLLISION_DELTA) -> float:
+                            x0: float, alpha0: float, t_grid) -> float:
     """Max residual of tan((alpha - u)/2) - (x - lambda)/2 over the grid.
 
-    Both boundary trajectories are solved on the grid; the residual is the
-    numerical certificate that the two flows are the same solution.
+    Both boundary trajectories are solved on the grid at the default
+    tolerance; the residual is the numerical certificate that the two flows
+    are the same solution.
     """
     grid = _validated_grid(t_grid)
-    x_traj = evolve_boundary(term_lambda, x0, float(grid[-1]), tol,
-                             collision_delta=collision_delta, capture=grid)
-    a_traj = evolve_disk_boundary(term_u, alpha0, float(grid[-1]), tol,
-                                  collision_delta=collision_delta, capture=grid)
+    x_traj = evolve_boundary(term_lambda, x0, float(grid[-1]), capture=grid)
+    a_traj = evolve_disk_boundary(term_u, alpha0, float(grid[-1]), capture=grid)
     t_stop = min(x_traj.final_time, a_traj.final_time)
     times = grid[grid <= t_stop]
     x = x_traj.values_at(times).astype(float)

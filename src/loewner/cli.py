@@ -38,6 +38,8 @@ def parse_grid(spec: str) -> np.ndarray:
 def _cmd_evolve(args) -> int:
     term = parse_term(args.term)
     start = [float(x) for x in args.start.split(",")]
+    if len(start) > 2:
+        raise ValueError(f"--start takes re[,im], got {len(start)} components")
     if args.geometry == "halfplane":
         if len(start) == 2 and start[1] != 0.0:
             traj = evolve_interior(term, complex(start[0], start[1]), args.t_end, args.tol)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import cmath
 import math
 
+from . import integrate
 from .driving import DrivingTerm
-from .halfplane import DEFAULT_COLLISION_DELTA
 from .integrate import solve_scalar
 from .trajectory import Trajectory
 
@@ -53,46 +53,40 @@ def _boundary_flow(term: DrivingTerm):
     return f, gap
 
 
-def _evolve(flow, term: DrivingTerm, y0, t_end: float, tol: float, collision_delta: float,
-            capture, record: bool = True) -> Trajectory:
+def _evolve(flow, term: DrivingTerm, y0, t_end: float, tol: float,
+            capture=None) -> Trajectory:
     """Solve ``flow`` from (0, y0) with swallowing detection; the samples keep y0's type."""
     if not cmath.isfinite(y0):
         raise ValueError(f"start point {y0!r} is not finite")
     term.check_covers(t_end)
     f, gap = flow(term)
-    res = solve_scalar(f, 0.0, y0, t_end, rtol=tol, atol=tol,
-                       gap=gap, gap_threshold=collision_delta, capture=capture,
-                       record=record)
+    res = solve_scalar(f, 0.0, y0, t_end, tol=tol, gap=gap, capture=capture)
     return Trajectory(res.times, res.values.astype(type(y0)), res.swallowed_at)
 
 
 def evolve_disk_interior(term: DrivingTerm, z0: complex, t_end: float,
-                         tol: float = 1e-10, *,
-                         collision_delta: float = DEFAULT_COLLISION_DELTA,
-                         capture=None) -> Trajectory:
+                         tol: float = 1e-10) -> Trajectory:
     """Evolve an interior point z0 (|z0| < 1) of the disk.
 
-    Swallowing is declared when |w - e^{iu(t)}| drops below ``collision_delta``.
-    The origin is a fixed point of the flow.
+    Swallowing is declared when |w - e^{iu(t)}| drops below
+    ``integrate.COLLISION_DELTA``. The origin is a fixed point of the flow.
     """
     z0 = complex(z0)
     if abs(z0) >= 1.0:
         raise ValueError("disk interior evolution needs |z0| < 1")
-    return _evolve(_interior_flow, term, z0, t_end, tol, collision_delta, capture)
+    return _evolve(_interior_flow, term, z0, t_end, tol)
 
 
 def evolve_disk_boundary(term: DrivingTerm, alpha0: float, t_end: float,
-                         tol: float = 1e-10, *,
-                         collision_delta: float = DEFAULT_COLLISION_DELTA,
-                         capture=None, record: bool = True) -> Trajectory:
+                         tol: float = 1e-10, *, capture=None) -> Trajectory:
     """Evolve a boundary angle alpha0 != u(0) (mod 2*pi).
 
     The angle is unwrapped (no mod-2*pi reduction mid-trajectory); swallowing
     is declared when the circular distance to u(t) drops below
-    ``collision_delta``.
+    ``integrate.COLLISION_DELTA``.
     """
     alpha0 = float(alpha0)
-    if angle_gap(alpha0, term.value(0.0)) <= collision_delta:
+    if angle_gap(alpha0, term.value(0.0)) <= integrate.COLLISION_DELTA:
         raise ValueError("alpha0 coincides with u(0) modulo 2*pi within the "
                          "collision threshold")
-    return _evolve(_boundary_flow, term, alpha0, t_end, tol, collision_delta, capture, record)
+    return _evolve(_boundary_flow, term, alpha0, t_end, tol, capture)

@@ -29,8 +29,7 @@ class DrivingTerm:
     """Base class for driving terms.
 
     Subclasses implement ``_raw(t)`` on the declared domain ``[0, domain_end]``
-    (``domain_end = None`` means all t >= 0). Every term carries an additive
-    ``offset`` so a family can be shifted without wrapping it.
+    (``domain_end = None`` means all t >= 0).
     """
 
     #: inclusive end of the time domain, or None when defined for all t >= 0
@@ -39,15 +38,12 @@ class DrivingTerm:
     #: exact Lip(1/2) sup-norm when known in closed form, else None
     exact_half_norm: float | None = None
 
-    def __init__(self, offset: float = 0.0):
-        self.offset = float(offset)
-
     def _raw(self, t: float) -> float:
         raise NotImplementedError
 
     def value(self, t: float) -> float:
         """Evaluate the term at a single time."""
-        return self._raw(self._clip_time(float(t))) + self.offset
+        return self._raw(self._clip_time(float(t)))
 
     def values(self, ts) -> np.ndarray:
         """Evaluate on an array of times."""
@@ -62,8 +58,8 @@ class DrivingTerm:
                 f"t_end={t_end!r} exceeds the term's domain end {self.domain_end!r}")
 
     def _clip_time(self, t: float) -> float:
-        if t < 0.0:
-            if t < -_TIME_SLACK:
+        if not t >= 0.0:  # NaN takes this branch too, and fails the next test
+            if not t >= -_TIME_SLACK:
                 raise DomainError(f"time {t!r} is outside the term's domain (t >= 0)")
             return 0.0
         end = self.domain_end
@@ -89,8 +85,7 @@ class Constant(DrivingTerm):
 
     exact_half_norm = 0.0
 
-    def __init__(self, c: float, offset: float = 0.0):
-        super().__init__(offset)
+    def __init__(self, c: float):
         self.c = float(c)
 
     def _raw(self, t: float) -> float:
@@ -103,8 +98,7 @@ class Constant(DrivingTerm):
 class Sqrt(DrivingTerm):
     """lambda(t) = c * sqrt(t), the self-similar family with ||lambda||_{1/2} = |c|."""
 
-    def __init__(self, c: float, offset: float = 0.0):
-        super().__init__(offset)
+    def __init__(self, c: float):
         self.c = float(c)
         self.exact_half_norm = abs(self.c)
 
@@ -124,8 +118,7 @@ class Lind(DrivingTerm):
 
     domain_end = 1.0
 
-    def __init__(self, c: float, offset: float = 0.0):
-        super().__init__(offset)
+    def __init__(self, c: float):
         self.c = float(c)
         self.exact_half_norm = abs(self.c)
 
@@ -144,8 +137,7 @@ class Sampled(DrivingTerm):
     continuous.
     """
 
-    def __init__(self, times, values, offset: float = 0.0, source: str | None = None):
-        super().__init__(offset)
+    def __init__(self, times, values, source: str | None = None):
         t = np.asarray(times, dtype=float)
         v = np.asarray(values, dtype=float)
         if t.ndim != 1 or t.shape != v.shape or t.size < 2:
@@ -178,13 +170,6 @@ class Sampled(DrivingTerm):
         v0, v1 = vs[i - 1], vs[i]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
-    def values(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float).ravel()
-        bad = (ts < -_TIME_SLACK) | (ts > self.domain_end + _TIME_SLACK * max(1.0, self.domain_end))
-        if np.any(bad):
-            raise DomainError(f"times outside the sampled domain [0, {self.domain_end!r}]")
-        return np.interp(ts, self.times, self.table_values) + self.offset
-
     def spec_string(self) -> str:
         if self.source is None:
             raise NotImplementedError("sampled term without a file source")
@@ -198,10 +183,9 @@ class Scaled(DrivingTerm):
     Lip(1/2) sup-norm as the base term.
     """
 
-    def __init__(self, base: DrivingTerm, r: float, offset: float = 0.0):
-        super().__init__(offset)
-        if r <= 0:
-            raise ValueError("scale factor r must be positive")
+    def __init__(self, base: DrivingTerm, r: float):
+        if not 0 < r < math.inf:  # NaN fails too
+            raise ValueError("scale factor r must be positive and finite")
         self.base = base
         self.r = float(r)
         if base.domain_end is not None:
@@ -215,12 +199,9 @@ class Scaled(DrivingTerm):
 class FromCallable(DrivingTerm):
     """Term backed by an arbitrary callable, for analytic terms built on the fly."""
 
-    def __init__(self, fn: Callable[[float], float], domain_end: float | None = None,
-                 offset: float = 0.0, exact_half_norm: float | None = None):
-        super().__init__(offset)
+    def __init__(self, fn: Callable[[float], float], domain_end: float | None = None):
         self.fn = fn
         self.domain_end = domain_end
-        self.exact_half_norm = exact_half_norm
 
     def _raw(self, t: float) -> float:
         return float(self.fn(t))

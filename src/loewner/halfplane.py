@@ -19,15 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import integrate
 from .driving import DrivingTerm
 from .errors import BootstrapError, DomainError, IntegrationError, LoewnerError
 from .holder import holder_sup_norm
 from .integrate import solve_scalar
 from .trajectory import Trajectory
-
-#: default collision threshold on |h - lambda|; square-root contact cannot be
-#: resolved much below sqrt(eps) in the time variable, so this sits well above
-DEFAULT_COLLISION_DELTA = 1e-6
 
 #: handoff time t0 of the singular-solution ansatz
 BOOTSTRAP_T0 = 1e-8
@@ -89,45 +86,42 @@ def _flow(term: DrivingTerm):
     return f, gap
 
 
-def _evolve(term: DrivingTerm, y0, t_end: float, tol: float, collision_delta: float,
-            capture, record: bool = True) -> Trajectory:
+def _evolve(term: DrivingTerm, y0, t_end: float, tol: float, capture=None,
+            record: bool = True) -> Trajectory:
     """Solve from (0, y0) with swallowing detection; the samples keep y0's type."""
     if not cmath.isfinite(y0):
         raise ValueError(f"start point {y0!r} is not finite")
     term.check_covers(t_end)
     f, gap = _flow(term)
-    res = solve_scalar(f, 0.0, y0, t_end, rtol=tol, atol=tol,
-                       gap=gap, gap_threshold=collision_delta, capture=capture,
+    res = solve_scalar(f, 0.0, y0, t_end, tol=tol, gap=gap, capture=capture,
                        record=record)
     return Trajectory(res.times, res.values.astype(type(y0)), res.swallowed_at)
 
 
-def evolve_interior(term: DrivingTerm, z0: complex, t_end: float, tol: float = 1e-10,
-                    *, collision_delta: float = DEFAULT_COLLISION_DELTA,
-                    capture=None) -> Trajectory:
+def evolve_interior(term: DrivingTerm, z0: complex, t_end: float,
+                    tol: float = 1e-10) -> Trajectory:
     """Evolve an interior point z0 (Im z0 > 0) under the half-plane equation.
 
     Returns an adaptively sampled trajectory; if |h - lambda| falls below
-    ``collision_delta`` the point is reported swallowed at the refined contact
-    time. ``capture`` times are landed on exactly and appear as samples.
+    ``integrate.COLLISION_DELTA`` the point is reported swallowed at the
+    refined contact time.
     """
     z0 = complex(z0)
     if z0.imag <= 0:
         raise ValueError("interior evolution needs Im z0 > 0")
-    return _evolve(term, z0, t_end, tol, collision_delta, capture)
+    return _evolve(term, z0, t_end, tol)
 
 
 def evolve_boundary(term: DrivingTerm, x0: float, t_end: float, tol: float = 1e-10,
-                    *, collision_delta: float = DEFAULT_COLLISION_DELTA,
-                    capture=None, record: bool = True) -> Trajectory:
+                    *, capture=None, record: bool = True) -> Trajectory:
     """Evolve a real point x0 != lambda(0); the sign of x - lambda is preserved
     until swallowing."""
     x0 = float(x0)
-    if abs(x0 - term.value(0.0)) <= collision_delta:
+    if abs(x0 - term.value(0.0)) <= integrate.COLLISION_DELTA:
         raise ValueError(
             "x0 coincides with lambda(0) within the collision threshold; "
             "use singular_plus/singular_minus for the singular solutions")
-    return _evolve(term, x0, t_end, tol, collision_delta, capture, record)
+    return _evolve(term, x0, t_end, tol, capture, record)
 
 
 def _sqrt_ansatz(term: DrivingTerm, t_start: float, sign: int, dt: float) -> float:
@@ -168,7 +162,7 @@ def _singular(term: DrivingTerm, sign: int, t_start: float, t_end: float, tol: f
     y_fine = _sqrt_ansatz(term, t_start, sign, dt_fine)
     try:
         res0 = solve_scalar(f, t_start + dt_fine, y_fine, t_start + dt_seed,
-                            rtol=tol, atol=tol, record=False)
+                            tol=tol, record=False)
         y_seed = res0.values[-1]
     except IntegrationError:
         y_seed = _sqrt_ansatz(term, t_start, sign, dt_seed)
@@ -183,8 +177,7 @@ def _singular(term: DrivingTerm, sign: int, t_start: float, t_end: float, tol: f
             "square-root ansatz residual above tolerance after refinement "
             f"(relative gap mismatch {abs(gap_seed - gap_ansatz) / gap_ansatz:.2f})")
 
-    res = solve_scalar(f, t_start + dt_seed, y_seed, t_end, rtol=tol, atol=tol,
-                       capture=cap)
+    res = solve_scalar(f, t_start + dt_seed, y_seed, t_end, tol=tol, capture=cap)
     times = np.concatenate(([t_start], res.times))
     values = np.concatenate(([lam_start], res.values.astype(float)))
     return Trajectory(times, values)

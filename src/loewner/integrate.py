@@ -4,9 +4,9 @@ Dormand-Prince 5(4) pair with standard step control, for scalar real or
 complex right-hand sides. Two features are tailored to Loewner dynamics:
 
 * collision detection: after each accepted step an optional gap function is
-  checked against a threshold; on crossing, the contact time is refined by
-  bisection on the step's cubic Hermite interpolant, and the solve terminates
-  with ``swallowed_at`` set;
+  checked against ``COLLISION_DELTA``; on crossing, the contact time is
+  refined by bisection on the step's cubic Hermite interpolant, and the solve
+  terminates with ``swallowed_at`` set;
 * capture times: the stepper lands exactly on requested times so trajectories
   contain them as samples (no interpolation error at query points).
 
@@ -36,6 +36,11 @@ H_FLOOR = 1e-14
 #: step budget of one solve
 MAX_STEPS = 500_000
 
+#: collision threshold on the gap: a solution closer than this to the driving
+#: term is swallowed. Square-root contact cannot be resolved much below
+#: sqrt(eps) in the time variable, so this sits well above
+COLLISION_DELTA = 1e-6
+
 # Dormand-Prince 5(4) tableau
 _C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
 _A = (
@@ -59,18 +64,19 @@ class OdeResult:
     n_steps: int
 
 
-def solve_scalar(f, t0: float, y0, t_end: float, *, rtol: float = 1e-10,
-                 atol: float = 1e-12, gap=None, gap_threshold: float = 0.0,
-                 capture=None, record: bool = True) -> OdeResult:
+def solve_scalar(f, t0: float, y0, t_end: float, *, tol: float = 1e-10,
+                 gap=None, capture=None, record: bool = True) -> OdeResult:
     """Integrate dy/dt = f(t, y) from (t0, y0) to t_end.
 
     Parameters
     ----------
     f : callable
         Right-hand side f(t, y) -> scalar (real or complex).
+    tol : float
+        Relative and absolute local error tolerance per step.
     gap : callable or None
         Distance function gap(t, y) >= 0; when it drops below
-        ``gap_threshold`` after an accepted step, the crossing time is
+        ``COLLISION_DELTA`` after an accepted step, the crossing time is
         refined on the step and the solve stops (swallowing).
     capture : array_like or None
         Times in (t0, t_end] the stepper lands on exactly.
@@ -79,6 +85,7 @@ def solve_scalar(f, t0: float, y0, t_end: float, *, rtol: float = 1e-10,
     """
     h_floor = H_FLOOR
     max_steps = MAX_STEPS
+    delta = COLLISION_DELTA
     t = float(t0)
     t_end = float(t_end)
     y = complex(y0) if np.iscomplexobj(y0) else float(y0)
@@ -93,13 +100,13 @@ def solve_scalar(f, t0: float, y0, t_end: float, *, rtol: float = 1e-10,
     times = [t]
     values = [y]
 
-    if gap is not None and gap(t, y) < gap_threshold:
+    if gap is not None and gap(t, y) < delta:
         return _result(times, values, swallowed_at=t, n_steps=0)
     if t_end == t:
         return _result(times, values, swallowed_at=None, n_steps=0)
 
     k1 = f(t, y)
-    scale0 = atol + rtol * abs(y)
+    scale0 = tol + tol * abs(y)
     d0 = abs(k1)
     h_prop = min((t_end - t) / 10.0, 0.01 * scale0 / d0 if d0 > 0 else (t_end - t) / 10.0)
     h_prop = max(h_prop, h_floor)
@@ -129,7 +136,7 @@ def solve_scalar(f, t0: float, y0, t_end: float, *, rtol: float = 1e-10,
         k7 = f(t_new, y_new)
         err = h * (_E[0] * k1 + _E[2] * k3 + _E[3] * k4 + _E[4] * k5
                    + _E[5] * k6 + _E[6] * k7)
-        err_norm = abs(err) / (atol + rtol * max(abs(y), abs(y_new)))
+        err_norm = abs(err) / (tol + tol * max(abs(y), abs(y_new)))
         n_steps += 1
 
         if err_norm > 1.0 or not math.isfinite(err_norm):
@@ -140,8 +147,8 @@ def solve_scalar(f, t0: float, y0, t_end: float, *, rtol: float = 1e-10,
 
         if gap is not None:
             g_new = gap(t_new, y_new)
-            if g_new < gap_threshold or not math.isfinite(g_new):
-                tau, y_tau = _refine_crossing(gap, gap_threshold, t, y, k1, t_new, y_new, k7)
+            if g_new < delta or not math.isfinite(g_new):
+                tau, y_tau = _refine_crossing(gap, delta, t, y, k1, t_new, y_new, k7)
                 times.append(tau)
                 values.append(y_tau)
                 return _result(times, values, swallowed_at=tau, n_steps=n_steps)

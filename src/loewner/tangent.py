@@ -158,10 +158,9 @@ class TangentTerm(DrivingTerm):
     lambda(0) = 0 and lambda is Lip(1/3) at 0; defined on [0, T_MAX_DEFAULT * r**2].
     """
 
-    def __init__(self, radius: float = 1.0, offset: float = 0.0):
-        super().__init__(offset)
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+    def __init__(self, radius: float = 1.0):
+        if not 0 < radius < math.inf:  # NaN fails too
+            raise ValueError("radius must be positive and finite")
         self.radius = float(radius)
         self._r2 = self.radius ** 2
         self.domain_end = T_MAX_DEFAULT * self._r2

@@ -52,8 +52,7 @@ def _tip_once(term: DrivingTerm, t: float, eps: float, tol: float) -> complex:
     def f(u, s):
         return -2.0 / (s - lam(t - u))
 
-    res = solve_scalar(f, 0.0, complex(lam_t, eps), t, rtol=tol, atol=tol,
-                       record=False)
+    res = solve_scalar(f, 0.0, complex(lam_t, eps), t, tol=tol, record=False)
     return complex(res.values[-1])
 
 

@@ -54,20 +54,13 @@ class Trajectory:
 
     def value_at(self, t: float):
         """Value at a sample time (the solver lands on requested capture times)."""
-        i = int(np.searchsorted(self.times, t))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < self.times.size and abs(self.times[j] - t) <= 1e-12 * max(1.0, abs(t)):
-                return self.values[j]
-        raise KeyError(f"time {t!r} is not a sample of this trajectory")
+        return self.values_at([t])[0]
 
     def values_at(self, ts) -> np.ndarray:
-        """``value_at`` for every time of ``ts`` at once; raises KeyError on
-        the first time that is not a sample.
+        """Values at sample times, each matched within a relative tolerance of
+        1e-12; raises KeyError on the first time that is not a sample.
 
-        Like ``value_at``, the sample below each time wins over the one at or
-        above it when both lie within the tolerance. ``value_at`` also tries
-        the next sample up, but times increase strictly, so whenever that one
-        is within the tolerance the one before it is too.
+        When two samples lie within the tolerance of a time, the lower one wins.
         """
         ts = np.asarray(ts, dtype=float).ravel()
         times = self.times
@@ -77,7 +70,8 @@ class Trajectory:
         pick = np.where(np.abs(times[below] - ts) <= tol, below, np.minimum(i, times.size - 1))
         missing = ~(np.abs(times[pick] - ts) <= tol)
         if missing.any():
-            raise KeyError(f"time {ts[missing.argmax()]!r} is not a sample of this trajectory")
+            t = float(ts[missing.argmax()])
+            raise KeyError(f"time {t!r} is not a sample of this trajectory")
         return self.values[pick]
 
 

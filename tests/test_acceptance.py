@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from loewner import Constant, Lind, Scaled, Sqrt, repro
+from loewner import Constant, FromCallable, Lind, Scaled, Sqrt, repro
 from loewner.disk import evolve_disk_boundary, evolve_disk_interior
 from loewner.halfplane import evolve_boundary, evolve_interior
 
@@ -95,7 +95,7 @@ def test_criterion_10_rotation_equivariance():
     for _ in range(100):
         term = _random_term(rng)
         theta = float(rng.uniform(-math.pi, math.pi))
-        rotated = type(term)(term.c, offset=theta)
+        rotated = FromCallable(lambda t: theta + term.value(t), term.domain_end)
         z0 = float(rng.uniform(0.05, 0.7)) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         t_end = float(rng.uniform(0.05, 0.8))
         base = evolve_disk_interior(term, z0, t_end, tol=1e-10)

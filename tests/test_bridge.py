@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from loewner import Constant, ConversionDomainError, FromCallable, Lind
+from loewner import Constant, ConversionDomainError, FromCallable, Lind, integrate
 from loewner.bridge import correspondence_residual, disk_to_halfplane, halfplane_to_disk
 from loewner.holder import holder_sup_norm
 
@@ -61,7 +61,7 @@ def test_residual_lind_pair():
 def test_residual_constant_pair():
     grid = np.linspace(0.0, 1.0, 801)
     mid = halfplane_to_disk(Constant(0.0), 2.0, grid, tol=1e-11)
-    assert correspondence_residual(Constant(0.0), mid.term, 2.0, 2.0, grid, tol=1e-11) < 1e-8
+    assert correspondence_residual(Constant(0.0), mid.term, 2.0, 2.0, grid) < 1e-8
 
 
 def test_residual_vanishes_at_t0():
@@ -84,7 +84,7 @@ def test_conversion_preserves_lip_half_under_refinement():
     assert abs(norms[-1] - norms[-2]) < 0.05 * norms[-1]
 
 
-def test_partial_conversion_marks_swallowing():
+def test_partial_conversion_marks_swallowing(monkeypatch):
     grid = np.concatenate(([0.0], 1.0 - np.geomspace(1.0, 1e-8, 200)[1:], [1.0]))
     res = halfplane_to_disk(Lind(4.0), 2.0, grid, tol=1e-10)
     assert res.is_partial
@@ -94,7 +94,7 @@ def test_partial_conversion_marks_swallowing():
     # collides at the same time
     from loewner.disk import evolve_disk_boundary
 
-    disk_traj = evolve_disk_boundary(res.term, 2.0, res.term.domain_end,
-                                     tol=1e-10, collision_delta=1e-4)
+    monkeypatch.setattr(integrate, "COLLISION_DELTA", 1e-4)
+    disk_traj = evolve_disk_boundary(res.term, 2.0, res.term.domain_end, tol=1e-10)
     assert disk_traj.is_swallowed
     assert disk_traj.swallowed_at == pytest.approx(1.0, abs=1e-3)

@@ -130,6 +130,13 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["critical", "--mode", "y-sequence", "--n", "-2"]) == 2
     assert main(["singular", "--term", "sqrt:1", "--t-end", "1", "--n", "0",
                  "--out", str(tmp_path / "s.csv")]) == 2
+    # a tangent radius that is not finite, and a start point with extra coordinates
+    for term in ("tangent:nan", "tangent:inf"):
+        assert main(["evolve", "--geometry", "halfplane", "--term", term, "--start", "1",
+                     "--t-end", "0.01", "--out", str(tmp_path / "x.csv")]) == 2
+    for geometry in ("halfplane", "disk"):
+        assert main(["evolve", "--geometry", geometry, "--term", "sqrt:1", "--start", "0.1,0.2,3",
+                     "--t-end", "0.5", "--out", str(tmp_path / "x.csv")]) == 2
 
 
 def test_computational_failure_exits_one(tmp_path, capsys):

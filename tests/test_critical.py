@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from loewner import Lind, PoleError
+from loewner import Lind, PoleError, integrate
 from loewner.critical import (SCAN_TOL, ThresholdVerdict, c_grid, c_iteration,
                               collision_threshold_experiment, g_eval, y_sequence)
 from loewner.halfplane import evolve_boundary
@@ -145,7 +145,7 @@ def test_one_solve_verdict_matches_the_serial_scan():
 @given(c=st.floats(3.5, 4.5), a=st.floats(1e-5, 20.0), b=st.floats(1e-5, 20.0))
 def test_nearer_point_is_swallowed_no_later(c, a, b):
     # real solutions never cross, so the point nearer lambda(0) = 0 goes first;
-    # start points within collision_delta (1e-6) of lambda(0) are rejected
+    # start points within integrate.COLLISION_DELTA (1e-6) of lambda(0) are rejected
     assume(a != b)
     x0, x1 = min(a, b), max(a, b)
     term = Lind(c)
@@ -156,7 +156,7 @@ def test_nearer_point_is_swallowed_no_later(c, a, b):
         assert near.swallowed_at <= far.swallowed_at + 1e-9
 
 
-def test_disk_side_verdicts_match():
+def test_disk_side_verdicts_match(monkeypatch):
     # converting lambda_c with a colliding/representative x0 and re-running
     # collision detection in the disk gives the same verdict per c
     from loewner.bridge import halfplane_to_disk
@@ -171,7 +171,8 @@ def test_disk_side_verdicts_match():
     for c, hp_collides in ((3.6, False), (4.0, True), (4.3, True)):
         x0 = 1.9
         conv = halfplane_to_disk(Lind(c), x0, grid, tol=1e-10)
-        traj = evolve_disk_boundary(conv.term, x0, conv.term.domain_end,
-                                    tol=1e-9, collision_delta=1e-4)
+        with monkeypatch.context() as patched:
+            patched.setattr(integrate, "COLLISION_DELTA", 1e-4)
+            traj = evolve_disk_boundary(conv.term, x0, conv.term.domain_end, tol=1e-9)
         disk_collides = traj.is_swallowed and traj.swallowed_at <= 1.0 + 1e-3
         assert disk_collides == hp_collides

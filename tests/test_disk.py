@@ -87,7 +87,7 @@ def test_rotation_equivariance():
     theta = 0.8
     z0 = 0.3 + 0.2j
     u = Sqrt(1.2)
-    u_rot = Sqrt(1.2, offset=theta)
+    u_rot = FromCallable(lambda t: theta + u.value(t))
     base = evolve_disk_interior(u, z0, 0.7, tol=1e-11)
     rot = evolve_disk_interior(u_rot, z0 * cmath.exp(1j * theta), 0.7, tol=1e-11)
     assert rot.final_value == pytest.approx(base.final_value * cmath.exp(1j * theta), rel=1e-8)

@@ -8,6 +8,7 @@ from loewner import (Constant, DomainError, Lind, Sampled, Scaled, Sqrt,
                      load_sampled_csv, parse_term, write_sampled_csv)
 from loewner.disk import evolve_disk_boundary, evolve_disk_interior
 from loewner.halfplane import evolve_boundary, evolve_interior, singular_plus
+from loewner.tangent import TangentTerm
 from loewner.trace import extract_trace
 
 
@@ -32,10 +33,10 @@ def test_lind_domain_error():
         Lind(4.0).value(1.5)
     with pytest.raises(DomainError):
         Constant(1.0).value(-0.3)
-
-
-def test_offset_shifts_values():
-    assert Sqrt(2.0, offset=1.5).value(0.25) == pytest.approx(2.5)
+    # NaN fails every `t < bound` test; the domain check must still reject it
+    for term in (Lind(4.0), Constant(0.0)):
+        with pytest.raises(DomainError):
+            term.value(math.nan)
 
 
 def test_scaled_is_loewner_scaling():
@@ -46,6 +47,15 @@ def test_scaled_is_loewner_scaling():
         assert sc.value(t) == pytest.approx(r * base.value(t / r**2), rel=1e-15)
     assert Scaled(Lind(4.0), 0.5).domain_end == pytest.approx(0.25)
     assert sc.exact_half_norm == base.exact_half_norm
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+def test_scale_and_radius_must_be_positive_and_finite(r):
+    # a NaN or infinite factor made every value NaN
+    with pytest.raises(ValueError):
+        Scaled(Sqrt(1.0), r)
+    with pytest.raises(ValueError):
+        TangentTerm(r)
 
 
 def test_sampled_interpolates_linearly():
@@ -62,12 +72,12 @@ def reference_sampled_value(term, t):
     t = min(max(float(t), 0.0), term.domain_end)  # slack-clipped ends
     i = bisect_right(ts, t)
     if i <= 0:
-        return float(vs[0]) + term.offset
+        return float(vs[0])
     if i >= ts.size:
-        return float(vs[-1]) + term.offset
+        return float(vs[-1])
     t0, t1 = ts[i - 1], ts[i]
     v0, v1 = vs[i - 1], vs[i]
-    return float(v0 + (v1 - v0) * (t - t0) / (t1 - t0)) + term.offset
+    return float(v0 + (v1 - v0) * (t - t0) / (t1 - t0))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -75,12 +85,14 @@ def test_sampled_value_equals_the_reference_lookup(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 400))
     times = np.concatenate(([0.0], np.cumsum(rng.uniform(1e-6, 0.1, n - 1))))
-    term = Sampled(times, rng.normal(0.0, 3.0, n), offset=float(rng.normal()))
+    term = Sampled(times, rng.normal(0.0, 3.0, n))
     end = term.domain_end
     slack = 0.5e-12 * max(1.0, end)
     probes = np.concatenate((rng.uniform(0.0, end, 500), times, [0.0, end, -0.5e-12, end + slack]))
     for t in probes:
         assert term.value(t) == reference_sampled_value(term, t)
+    # one interpolant: the array lookup is the scalar one the stepper uses
+    assert term.values(probes).tolist() == [term.value(t) for t in probes]
 
 
 def test_sampled_validation():

@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from loewner import integrate
 from loewner.errors import IntegrationError
 from loewner.integrate import solve_scalar
 
 
 def test_exponential_decay():
-    res = solve_scalar(lambda t, y: -y, 0.0, 1.0, 3.0, rtol=1e-11, atol=1e-13)
+    res = solve_scalar(lambda t, y: -y, 0.0, 1.0, 3.0, tol=1e-13)
     assert res.swallowed_at is None
     assert res.values[-1] == pytest.approx(math.exp(-3.0), rel=1e-9)
 
 
 def test_complex_rotation():
-    res = solve_scalar(lambda t, y: 1j * y, 0.0, 1.0 + 0j, math.pi, rtol=1e-11, atol=1e-13)
+    res = solve_scalar(lambda t, y: 1j * y, 0.0, 1.0 + 0j, math.pi, tol=1e-13)
     assert res.values[-1] == pytest.approx(-1.0 + 0j, abs=1e-8)
 
 
@@ -28,7 +29,7 @@ def test_capture_times_are_samples():
 
 
 @pytest.mark.parametrize("y0", [np.float64(1.0), 1.0 + 0.5j])
-def test_stepper_passes_python_scalars_to_f_and_gap(y0):
+def test_stepper_passes_python_scalars_to_f_and_gap(y0, monkeypatch):
     # capture times come as an ndarray and y0 may be a numpy scalar; the
     # right-hand side and the gap still see Python floats (complex y for a
     # complex y0), never numpy scalars
@@ -43,23 +44,23 @@ def test_stepper_passes_python_scalars_to_f_and_gap(y0):
         seen.add((type(t), type(y)))
         return abs(y)
 
-    res = solve_scalar(f, 0.0, y0, 1.0, gap=gap, gap_threshold=1e-3,
-                       capture=np.linspace(0.0, 1.0, 11))
+    monkeypatch.setattr(integrate, "COLLISION_DELTA", 1e-3)
+    res = solve_scalar(f, 0.0, y0, 1.0, gap=gap, capture=np.linspace(0.0, 1.0, 11))
     assert res.swallowed_at is None and res.times.size > 11
     assert seen == {(float, y_type)}
 
 
-def test_collision_refinement():
+def test_collision_refinement(monkeypatch):
     # y' = -1 from 1; gap = y crosses threshold 0.5 at t = 0.5 exactly
-    res = solve_scalar(lambda t, y: -1.0, 0.0, 1.0, 2.0,
-                       gap=lambda t, y: y, gap_threshold=0.5)
+    monkeypatch.setattr(integrate, "COLLISION_DELTA", 0.5)
+    res = solve_scalar(lambda t, y: -1.0, 0.0, 1.0, 2.0, gap=lambda t, y: y)
     assert res.swallowed_at == pytest.approx(0.5, abs=1e-9)
     assert res.times[-1] == pytest.approx(res.swallowed_at)
 
 
-def test_immediate_collision_at_start():
-    res = solve_scalar(lambda t, y: 1.0, 0.0, 1.0, 1.0,
-                       gap=lambda t, y: 0.0, gap_threshold=0.5)
+def test_immediate_collision_at_start(monkeypatch):
+    monkeypatch.setattr(integrate, "COLLISION_DELTA", 0.5)
+    res = solve_scalar(lambda t, y: 1.0, 0.0, 1.0, 1.0, gap=lambda t, y: 0.0)
     assert res.swallowed_at == 0.0
 
 
@@ -82,7 +83,7 @@ def test_step_floor_failure_carries_state():
         return 0.5 / math.sqrt(max(1.0 - t, 1e-300))
 
     with pytest.raises(IntegrationError) as err:
-        solve_scalar(f, 0.0, 0.0, 1.0, rtol=1e-13, atol=1e-16)
+        solve_scalar(f, 0.0, 0.0, 1.0, tol=1e-16)
     assert err.value.t > 0.9
 
 

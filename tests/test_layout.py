@@ -86,6 +86,73 @@ def test_every_public_function_has_a_caller_in_src():
     assert _unreferenced_public_functions() == []
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(_referenced_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _defaulted_parameters(function: ast.FunctionDef, skip_self: bool = False):
+    """(name, position) of each defaulted parameter; position is None for a
+    keyword-only one."""
+    args = function.args
+    positional = (args.posonlyargs + args.args)[1 if skip_self else 0:]
+    first = len(positional) - len(args.defaults)
+    found = [(a.arg, first + k) for k, a in enumerate(positional[first:])]
+    return found + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None]
+
+
+def _public_signatures(trees):
+    """Callee name -> (qualified name, defaulted parameters) of every public
+    module-level function and every public class's constructor."""
+    found = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                found[node.name] = (f"{module}.{node.name}", _defaulted_parameters(node))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                params = []
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                        params = _defaulted_parameters(item, skip_self=True)
+                if _is_dataclass(node):
+                    fields = [f for f in node.body
+                              if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+                    params = [(f.target.id, k) for k, f in enumerate(fields) if f.value is not None]
+                found[node.name] = (f"{module}.{node.name}", params)
+    return found
+
+
+def _sets(call: ast.Call, name: str, position) -> bool:
+    """Whether the call passes the parameter, by keyword, by position or by a splat."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def _test_only_parameters() -> list[str]:
+    """Defaulted parameters of public functions and constructors that no call
+    in src/ sets; the CLI's ``main(argv)`` is the entry-point hook."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    found = []
+    for callee, (qualified, params) in _public_signatures(trees).items():
+        mine = [c for c in calls if _referenced_name(c.func) == callee]
+        for name, position in params:
+            if qualified != "cli.main" and not any(_sets(c, name, position) for c in mine):
+                found.append(f"{qualified}({name})")
+    return found
+
+
+def test_every_defaulted_parameter_is_set_by_src():
+    # an option that only tests set is a knob the package never turns; tests
+    # that need another value patch the module constant instead
+    assert _test_only_parameters() == []
+
+
 def _load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "benchmarks" / "spans.py")
     module = importlib.util.module_from_spec(spec)

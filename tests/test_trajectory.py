@@ -45,20 +45,33 @@ def trajectory_and_queries(draw):
     return Trajectory(times, np.asarray(values)), draw(st.lists(query, max_size=20))
 
 
+def reference_value_at(traj, t):
+    """Per-time sample lookup: the first of the samples around t (from below)
+    within the 1e-12 relative tolerance, the reference for values_at."""
+    t = float(t)
+    i = int(np.searchsorted(traj.times, t))
+    for j in (i - 1, i, i + 1):
+        if 0 <= j < traj.times.size and abs(traj.times[j] - t) <= 1e-12 * max(1.0, abs(t)):
+            return traj.values[j]
+    raise KeyError(f"time {t!r} is not a sample of this trajectory")
+
+
 @given(trajectory_and_queries())
 def test_values_at_equals_value_at_per_time(case):
     traj, ts = case
     try:
-        ref = np.array([traj.value_at(t) for t in np.asarray(ts, dtype=float)])
+        ref = np.array([reference_value_at(traj, t) for t in ts])
     except KeyError as exc:
-        with pytest.raises(KeyError) as got:
-            traj.values_at(ts)
-        assert got.value.args == exc.args
+        for lookup in (traj.values_at, lambda ts: [traj.value_at(t) for t in ts]):
+            with pytest.raises(KeyError) as got:
+                lookup(ts)
+            assert got.value.args == exc.args
         return
     got = traj.values_at(ts)
     # the loop gives float64 on an empty ts; values_at keeps the values' dtype
     assert got.dtype == traj.values.dtype
     assert got.shape == ref.shape and np.array_equal(got, ref)
+    assert np.array_equal([traj.value_at(t) for t in ts], ref)
     if ts:
         assert ref.dtype == got.dtype
 
