@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -29,10 +30,13 @@ def parse_grid(spec: str) -> np.ndarray:
     if spec.startswith("lin:") or spec.startswith("log:"):
         kind, a, b, n = spec.split(":")
         a, b, n = float(a), float(b), int(n)
-        if n < 2 or not b > a:
+        if n < 2 or not (math.isfinite(a) and math.isfinite(b) and b > a):
             raise ValueError(f"bad grid spec {spec!r}")
         return np.linspace(a, b, n) if kind == "lin" else np.geomspace(a, b, n)
-    return np.asarray([float(x) for x in spec.split(",")], dtype=float)
+    grid = [float(x) for x in spec.split(",")]
+    if not all(map(math.isfinite, grid)):
+        raise ValueError(f"bad grid spec {spec!r}: entries must be finite")
+    return np.asarray(grid, dtype=float)
 
 
 def _cmd_evolve(args) -> int:

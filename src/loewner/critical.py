@@ -33,6 +33,9 @@ Y_TOL = 1e-12
 SCAN_TOL = 1e-9
 X0_OFFSET = 1e-3
 
+#: most nodes a c grid may have; each node costs one boundary solve
+MAX_GRID_NODES = 10**6
+
 
 def g_eval(n: int, y: float) -> float:
     """Evaluate g_n(y); raises PoleError when a denominator vanishes."""
@@ -165,7 +168,8 @@ def c_grid(c_min: float, c_max: float, c_step: float) -> np.ndarray:
 
     np.arange would step by (c_min + c_step) - c_min, whose rounding error
     grows with k: it puts 3.9999999999999982 where 4 should be on the default
-    grid. The node count is that of np.arange(c_min, c_max + 1e-9, c_step).
+    grid. The node count is that of np.arange(c_min, c_max + 1e-9, c_step),
+    and above ``MAX_GRID_NODES`` it is an error, raised before any allocation.
     """
     if not all(map(math.isfinite, (c_min, c_max, c_step))):
         raise ValueError("c_min, c_max and c_step must be finite")
@@ -173,7 +177,10 @@ def c_grid(c_min: float, c_max: float, c_step: float) -> np.ndarray:
         raise ValueError("c_step must be positive")
     if c_max < c_min:
         raise ValueError("c_max must be >= c_min")
-    return c_min + c_step * np.arange(math.ceil((c_max + 1e-9 - c_min) / c_step))
+    count = math.ceil((c_max + 1e-9 - c_min) / c_step)
+    if count > MAX_GRID_NODES:
+        raise ValueError(f"c grid of {count} nodes exceeds the limit of {MAX_GRID_NODES}")
+    return c_min + c_step * np.arange(count)
 
 
 def collision_threshold_experiment(c_grid) -> ThresholdExperiment:

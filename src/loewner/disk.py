@@ -26,41 +26,30 @@ def angle_gap(alpha: float, u: float) -> float:
     return min(m, _TWO_PI - m)
 
 
-def _interior_flow(term: DrivingTerm):
-    """Right-hand side and collision gap of dw/dt = w (e^{iu} + w) / (e^{iu} - w)."""
-    u = term.value
-
-    def f(t, w):
-        e = cmath.exp(1j * u(t))
-        return w * (e + w) / (e - w)
-
-    def gap(t, w):
-        return abs(w - cmath.exp(1j * u(t)))
-
-    return f, gap
+def _interior_rhs(w, u):
+    """Right-hand side of dw/dt = w (e^{iu} + w) / (e^{iu} - w)."""
+    e = cmath.exp(1j * u)
+    return w * (e + w) / (e - w)
 
 
-def _boundary_flow(term: DrivingTerm):
-    """Right-hand side and collision gap of d(alpha)/dt = cot((alpha - u) / 2)."""
-    u = term.value
-
-    def f(t, a):
-        return 1.0 / math.tan(0.5 * (a - u(t)))
-
-    def gap(t, a):
-        return angle_gap(a, u(t))
-
-    return f, gap
+def _interior_gap(w, u):
+    """Collision gap |w - e^{iu}|."""
+    return abs(w - cmath.exp(1j * u))
 
 
-def _evolve(flow, term: DrivingTerm, y0, t_end: float, tol: float,
+def _boundary_rhs(a, u):
+    """Right-hand side of d(alpha)/dt = cot((alpha - u) / 2); its gap is ``angle_gap``."""
+    return 1.0 / math.tan(0.5 * (a - u))
+
+
+def _evolve(rhs, gap, term: DrivingTerm, y0, t_end: float, tol: float,
             capture=None) -> Trajectory:
-    """Solve ``flow`` from (0, y0) with swallowing detection; the samples keep y0's type."""
+    """Solve dy/dt = rhs(y, u(t)) from (0, y0) with swallowing detection by
+    ``gap``; the samples keep y0's type."""
     if not cmath.isfinite(y0):
         raise ValueError(f"start point {y0!r} is not finite")
     term.check_covers(t_end)
-    f, gap = flow(term)
-    res = solve_scalar(f, 0.0, y0, t_end, tol=tol, gap=gap, capture=capture)
+    res = solve_scalar(rhs, term.value, 0.0, y0, t_end, tol=tol, gap=gap, capture=capture)
     return Trajectory(res.times, res.values.astype(type(y0)), res.swallowed_at)
 
 
@@ -74,7 +63,7 @@ def evolve_disk_interior(term: DrivingTerm, z0: complex, t_end: float,
     z0 = complex(z0)
     if abs(z0) >= 1.0:
         raise ValueError("disk interior evolution needs |z0| < 1")
-    return _evolve(_interior_flow, term, z0, t_end, tol)
+    return _evolve(_interior_rhs, _interior_gap, term, z0, t_end, tol)
 
 
 def evolve_disk_boundary(term: DrivingTerm, alpha0: float, t_end: float,
@@ -89,4 +78,4 @@ def evolve_disk_boundary(term: DrivingTerm, alpha0: float, t_end: float,
     if angle_gap(alpha0, term.value(0.0)) <= integrate.COLLISION_DELTA:
         raise ValueError("alpha0 coincides with u(0) modulo 2*pi within the "
                          "collision threshold")
-    return _evolve(_boundary_flow, term, alpha0, t_end, tol, capture)
+    return _evolve(_boundary_rhs, angle_gap, term, alpha0, t_end, tol, capture)

@@ -43,7 +43,11 @@ class DrivingTerm:
 
     def value(self, t: float) -> float:
         """Evaluate the term at a single time."""
-        return self._raw(self._clip_time(float(t)))
+        t = float(t)
+        end = self.domain_end
+        if 0.0 <= t and (end is None or t <= end):
+            return self._raw(t)
+        return self._raw(self._clip_time(t))
 
     def values(self, ts) -> np.ndarray:
         """Evaluate on an array of times."""
@@ -58,16 +62,16 @@ class DrivingTerm:
                 f"t_end={t_end!r} exceeds the term's domain end {self.domain_end!r}")
 
     def _clip_time(self, t: float) -> float:
+        """Clamp a time outside [0, domain_end] onto the domain when it misses
+        by rounding only; ``value`` calls this for such times alone."""
         if not t >= 0.0:  # NaN takes this branch too, and fails the next test
             if not t >= -_TIME_SLACK:
                 raise DomainError(f"time {t!r} is outside the term's domain (t >= 0)")
             return 0.0
         end = self.domain_end
-        if end is not None and t > end:
-            if t > end + _TIME_SLACK * max(1.0, end):
-                raise DomainError(f"time {t!r} is outside the term's domain [0, {end!r}]")
-            return end
-        return t
+        if t > end + _TIME_SLACK * max(1.0, end):
+            raise DomainError(f"time {t!r} is outside the term's domain [0, {end!r}]")
+        return end
 
     def spec_string(self) -> str:
         """Canonical ``kind:params`` form; parse_term round-trips it."""
@@ -188,12 +192,13 @@ class Scaled(DrivingTerm):
             raise ValueError("scale factor r must be positive and finite")
         self.base = base
         self.r = float(r)
+        self._r2 = self.r**2
         if base.domain_end is not None:
-            self.domain_end = base.domain_end * self.r**2
+            self.domain_end = base.domain_end * self._r2
         self.exact_half_norm = base.exact_half_norm
 
     def _raw(self, t: float) -> float:
-        return self.r * self.base.value(t / self.r**2)
+        return self.r * self.base.value(t / self._r2)
 
 
 class FromCallable(DrivingTerm):

@@ -73,17 +73,14 @@ def sharp_ratio_bound(c: float) -> float:
     return 0.5 * (c + math.sqrt(c * c + 16.0))
 
 
-def _flow(term: DrivingTerm):
-    """Right-hand side and collision gap of dh/dt = 2 / (h - lambda(t))."""
-    lam = term.value
+def _rhs(y, l):
+    """Right-hand side of dh/dt = 2 / (h - lambda) at h = y, lambda = l."""
+    return 2.0 / (y - l)
 
-    def f(t, y):
-        return 2.0 / (y - lam(t))
 
-    def gap(t, y):
-        return abs(y - lam(t))
-
-    return f, gap
+def _gap(y, l):
+    """Collision gap |h - lambda|."""
+    return abs(y - l)
 
 
 def _evolve(term: DrivingTerm, y0, t_end: float, tol: float, capture=None,
@@ -92,9 +89,8 @@ def _evolve(term: DrivingTerm, y0, t_end: float, tol: float, capture=None,
     if not cmath.isfinite(y0):
         raise ValueError(f"start point {y0!r} is not finite")
     term.check_covers(t_end)
-    f, gap = _flow(term)
-    res = solve_scalar(f, 0.0, y0, t_end, tol=tol, gap=gap, capture=capture,
-                       record=record)
+    res = solve_scalar(_rhs, term.value, 0.0, y0, t_end, tol=tol, gap=_gap,
+                       capture=capture, record=record)
     return Trajectory(res.times, res.values.astype(type(y0)), res.swallowed_at)
 
 
@@ -154,15 +150,13 @@ def _singular(term: DrivingTerm, sign: int, t_start: float, t_end: float, tol: f
         dt_seed = min(dt_seed, float(cap_rel.min()) / 4.0)
     dt_fine = dt_seed / _SEED_REFINEMENT
 
-    f, _ = _flow(term)
-
     # seed early and integrate up to the handoff time; for steep terms
     # (e.g. Lip(1/3) driving) the relaxation rate 2/gap**2 outruns the step
     # floor near 0, in which case the direct ansatz at the handoff is used
     y_fine = _sqrt_ansatz(term, t_start, sign, dt_fine)
     try:
-        res0 = solve_scalar(f, t_start + dt_fine, y_fine, t_start + dt_seed,
-                            tol=tol, record=False)
+        res0 = solve_scalar(_rhs, term.value, t_start + dt_fine, y_fine,
+                            t_start + dt_seed, tol=tol, record=False)
         y_seed = res0.values[-1]
     except IntegrationError:
         y_seed = _sqrt_ansatz(term, t_start, sign, dt_seed)
@@ -177,7 +171,8 @@ def _singular(term: DrivingTerm, sign: int, t_start: float, t_end: float, tol: f
             "square-root ansatz residual above tolerance after refinement "
             f"(relative gap mismatch {abs(gap_seed - gap_ansatz) / gap_ansatz:.2f})")
 
-    res = solve_scalar(f, t_start + dt_seed, y_seed, t_end, tol=tol, capture=cap)
+    res = solve_scalar(_rhs, term.value, t_start + dt_seed, y_seed, t_end, tol=tol,
+                       capture=cap)
     times = np.concatenate(([t_start], res.times))
     values = np.concatenate(([lam_start], res.values.astype(float)))
     return Trajectory(times, values)

@@ -1,12 +1,29 @@
 """Adaptive embedded Runge-Kutta integration for scalar Loewner ODEs.
 
 Dormand-Prince 5(4) pair with standard step control, for scalar real or
-complex right-hand sides. Two features are tailored to Loewner dynamics:
+complex equations dy/dt = rhs(y, lam(t)). In a Loewner flow time enters only
+through the driving value (dh/dt = 2 / (h - lambda(t)) and its disk
+companions), so the stepper takes the right-hand side rhs(y, l) and the
+driving term lam(t) apart and calls ``lam`` once per stage time:
+
+* stages 2-5 take one value each;
+* stage 6 and stage 7, the FSAL stage ("first same as last", reused as the
+  next step's first stage), both sit at t + h and share one value whenever
+  the step's end ``t_new`` equals t + h as a float, which holds on every
+  uncapped step; a capped step evaluates its target time separately;
+* the collision check after an accepted step reads gap(y_new, l7) with the
+  stage-7 value and evaluates no new one.
+
+Each real-number operation is the same IEEE operation on the same operands as
+in an f(t, y) stepper whose f evaluates lambda itself, so results are
+bit-identical; only the repeated evaluations are gone. Two further features
+are tailored to Loewner dynamics:
 
 * collision detection: after each accepted step an optional gap function is
   checked against ``COLLISION_DELTA``; on crossing, the contact time is
-  refined by bisection on the step's cubic Hermite interpolant, and the solve
-  terminates with ``swallowed_at`` set;
+  refined by bisection on the step's cubic Hermite interpolant (``lam`` is
+  evaluated at each bisection time), and the solve terminates with
+  ``swallowed_at`` set;
 * capture times: the stepper lands exactly on requested times so trajectories
   contain them as samples (no interpolation error at query points).
 
@@ -14,11 +31,12 @@ Steps never shrink below an absolute floor of 1e-14; if the error control
 demands less, integration fails loudly with the last valid state.
 
 Every scalar on the per-step path is a Python ``float`` or ``complex``: the
-start point is converted once and the capture times are held as a list. A
-numpy scalar taken from an array (say ``cap[i]``) would spread through
-``h``, ``t``, ``y`` and every stage time into the right-hand side, and numpy
-scalar arithmetic costs about twice as much per operation. Real results are
-the same IEEE operations either way.
+start point is converted once, the capture times are held as a list and the
+tableau is unpacked into local floats once per solve. A numpy scalar taken
+from an array (say ``cap[i]``) would spread through ``h``, ``t``, ``y`` and
+every stage time into ``lam`` and ``rhs``, and numpy scalar arithmetic costs
+about twice as much per operation. Real results are the same IEEE operations
+either way.
 """
 
 from __future__ import annotations
@@ -64,18 +82,21 @@ class OdeResult:
     n_steps: int
 
 
-def solve_scalar(f, t0: float, y0, t_end: float, *, tol: float = 1e-10,
+def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
                  gap=None, capture=None, record: bool = True) -> OdeResult:
-    """Integrate dy/dt = f(t, y) from (t0, y0) to t_end.
+    """Integrate dy/dt = rhs(y, lam(t)) from (t0, y0) to t_end.
 
     Parameters
     ----------
-    f : callable
-        Right-hand side f(t, y) -> scalar (real or complex).
+    rhs : callable
+        Right-hand side rhs(y, l) -> scalar (real or complex), given the state
+        and the driving value l = lam(t).
+    lam : callable
+        Driving value lam(t) -> float; called once per stage time.
     tol : float
         Relative and absolute local error tolerance per step.
     gap : callable or None
-        Distance function gap(t, y) >= 0; when it drops below
+        Distance function gap(y, l) >= 0; when it drops below
         ``COLLISION_DELTA`` after an accepted step, the crossing time is
         refined on the step and the solve stops (swallowing).
     capture : array_like or None
@@ -86,6 +107,10 @@ def solve_scalar(f, t0: float, y0, t_end: float, *, tol: float = 1e-10,
     h_floor = H_FLOOR
     max_steps = MAX_STEPS
     delta = COLLISION_DELTA
+    c2, c3, c4, c5 = _C[:4]
+    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6)) = _A
+    e1, _, e3, e4, e5, e6, e7 = _E
     t = float(t0)
     t_end = float(t_end)
     y = complex(y0) if np.iscomplexobj(y0) else float(y0)
@@ -100,12 +125,13 @@ def solve_scalar(f, t0: float, y0, t_end: float, *, tol: float = 1e-10,
     times = [t]
     values = [y]
 
-    if gap is not None and gap(t, y) < delta:
+    l1 = lam(t)
+    if gap is not None and gap(y, l1) < delta:
         return _result(times, values, swallowed_at=t, n_steps=0)
     if t_end == t:
         return _result(times, values, swallowed_at=None, n_steps=0)
 
-    k1 = f(t, y)
+    k1 = rhs(y, l1)
     scale0 = tol + tol * abs(y)
     d0 = abs(k1)
     h_prop = min((t_end - t) / 10.0, 0.01 * scale0 / d0 if d0 > 0 else (t_end - t) / 10.0)
@@ -123,19 +149,20 @@ def solve_scalar(f, t0: float, y0, t_end: float, *, tol: float = 1e-10,
             h = target - t
         floored = h <= h_floor
 
-        k2 = f(t + _C[0] * h, y + h * (_A[0][0] * k1))
-        k3 = f(t + _C[1] * h, y + h * (_A[1][0] * k1 + _A[1][1] * k2))
-        k4 = f(t + _C[2] * h, y + h * (_A[2][0] * k1 + _A[2][1] * k2 + _A[2][2] * k3))
-        k5 = f(t + _C[3] * h, y + h * (_A[3][0] * k1 + _A[3][1] * k2 + _A[3][2] * k3
-                                       + _A[3][3] * k4))
-        k6 = f(t + _C[4] * h, y + h * (_A[4][0] * k1 + _A[4][1] * k2 + _A[4][2] * k3
-                                       + _A[4][3] * k4 + _A[4][4] * k5))
-        y_new = y + h * (_A[5][0] * k1 + _A[5][2] * k3 + _A[5][3] * k4
-                         + _A[5][4] * k5 + _A[5][5] * k6)
-        t_new = target if capped else t + h
-        k7 = f(t_new, y_new)
-        err = h * (_E[0] * k1 + _E[2] * k3 + _E[3] * k4 + _E[4] * k5
-                   + _E[5] * k6 + _E[6] * k7)
+        k2 = rhs(y + h * (a21 * k1), lam(t + c2 * h))
+        k3 = rhs(y + h * (a31 * k1 + a32 * k2), lam(t + c3 * h))
+        k4 = rhs(y + h * (a41 * k1 + a42 * k2 + a43 * k3), lam(t + c4 * h))
+        k5 = rhs(y + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4), lam(t + c5 * h))
+        # c6 = c7 = 1: stage 6 sits at t + h, and so does stage 7 unless a
+        # capped step's target differs from t + h by rounding
+        t_h = t + h
+        l6 = lam(t_h)
+        k6 = rhs(y + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5), l6)
+        y_new = y + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+        t_new = target if capped else t_h
+        l7 = l6 if t_new == t_h else lam(t_new)
+        k7 = rhs(y_new, l7)
+        err = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
         err_norm = abs(err) / (tol + tol * max(abs(y), abs(y_new)))
         n_steps += 1
 
@@ -146,9 +173,9 @@ def solve_scalar(f, t0: float, y0, t_end: float, *, tol: float = 1e-10,
             continue
 
         if gap is not None:
-            g_new = gap(t_new, y_new)
+            g_new = gap(y_new, l7)
             if g_new < delta or not math.isfinite(g_new):
-                tau, y_tau = _refine_crossing(gap, delta, t, y, k1, t_new, y_new, k7)
+                tau, y_tau = _refine_crossing(gap, lam, delta, t, y, k1, t_new, y_new, k7)
                 times.append(tau)
                 values.append(y_tau)
                 return _result(times, values, swallowed_at=tau, n_steps=n_steps)
@@ -184,13 +211,13 @@ def _hermite(theta, y0, hf0, y1, hf1):
             + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * hf1)
 
 
-def _refine_crossing(gap, threshold, t0, y0, f0, t1, y1, f1):
-    """Bisect on the step's Hermite interpolant for gap(t, y(t)) = threshold."""
+def _refine_crossing(gap, lam, threshold, t0, y0, f0, t1, y1, f1):
+    """Bisect on the step's Hermite interpolant for gap(y(t), lam(t)) = threshold."""
     h = t1 - t0
     hf0, hf1 = h * f0, h * f1
 
     def g(theta):
-        val = gap(t0 + theta * h, _hermite(theta, y0, hf0, y1, hf1))
+        val = gap(_hermite(theta, y0, hf0, y1, hf1), lam(t0 + theta * h))
         return (val - threshold) if math.isfinite(val) else -1.0
 
     lo, hi = 0.0, 1.0

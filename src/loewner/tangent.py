@@ -167,7 +167,7 @@ class TangentTerm(DrivingTerm):
 
     def _raw(self, t: float) -> float:
         # lambda_r(t) = r * gamma(t / r**2), straight from s: this runs once per
-        # ODE stage, and _clip_time has already checked t against domain_end
+        # ODE stage, and value has already checked t against domain_end
         s = _root_s(t / self._r2)
         alpha = -s * s
         return self.radius * (2.0 * alpha + (alpha + 2.0 * s * _SQRT_PI))

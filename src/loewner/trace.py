@@ -45,14 +45,15 @@ def _tip(term: DrivingTerm, t: float, tol: float) -> complex:
     return _richardson(vals)
 
 
+def _backward_rhs(s, l):
+    """Right-hand side of the backward equation ds/du = -2 / (s - l), l = lambda(t - u)."""
+    return -2.0 / (s - l)
+
+
 def _tip_once(term: DrivingTerm, t: float, eps: float, tol: float) -> complex:
     lam = term.value
-    lam_t = lam(t)
-
-    def f(u, s):
-        return -2.0 / (s - lam(t - u))
-
-    res = solve_scalar(f, 0.0, complex(lam_t, eps), t, tol=tol, record=False)
+    res = solve_scalar(_backward_rhs, lambda u: lam(t - u), 0.0, complex(lam(t), eps), t,
+                       tol=tol, record=False)
     return complex(res.values[-1])
 
 

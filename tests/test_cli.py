@@ -126,6 +126,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     # a c grid that is unbounded or reversed, and counts that yield no result
     assert main(["critical", "--mode", "threshold", "--c-max", "inf"]) == 2
     assert main(["critical", "--mode", "threshold", "--c-min", "4", "--c-max", "3"]) == 2
+    # a c grid of about twice the node limit (3.5 to 4.5 in steps of 5e-7)
+    assert main(["critical", "--mode", "threshold", "--c-step", "5e-7"]) == 2
     assert main(["critical", "--mode", "c-iteration", "--n-max", "0"]) == 2
     assert main(["critical", "--mode", "y-sequence", "--n", "-2"]) == 2
     assert main(["singular", "--term", "sqrt:1", "--t-end", "1", "--n", "0",
@@ -137,6 +139,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for geometry in ("halfplane", "disk"):
         assert main(["evolve", "--geometry", geometry, "--term", "sqrt:1", "--start", "0.1,0.2,3",
                      "--t-end", "0.5", "--out", str(tmp_path / "x.csv")]) == 2
+    # time grids with a non-finite end or entry
+    for grid in ("lin:0.1:inf:3", "log:0.1:inf:3", "lin:-inf:1:3", "0.1,nan", "0.1,inf,0.2"):
+        assert main(["trace", "--term", "sqrt:1", "--t-grid", grid,
+                     "--out", str(tmp_path / "t.csv")]) == 2
 
 
 def test_computational_failure_exits_one(tmp_path, capsys):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from loewner import Lind, PoleError, integrate
-from loewner.critical import (SCAN_TOL, ThresholdVerdict, c_grid, c_iteration,
-                              collision_threshold_experiment, g_eval, y_sequence)
+from loewner.critical import (MAX_GRID_NODES, SCAN_TOL, ThresholdVerdict, c_grid,
+                              c_iteration, collision_threshold_experiment, g_eval,
+                              y_sequence)
 from loewner.halfplane import evolve_boundary
 
 
@@ -92,6 +93,15 @@ def test_c_grid_node_count_matches_arange():
         assert c_grid(lo, hi, step).size == np.arange(lo, hi + 1e-9, step).size
     with pytest.raises(ValueError):
         c_grid(3.5, 4.5, 0.0)
+
+
+def test_c_grid_node_count_is_bounded():
+    # a step giving twice the limit is refused before the grid is built
+    # (16 MB of nodes, and one boundary solve each, if it were)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        c_grid(3.5, 4.5, 1.0 / (2 * MAX_GRID_NODES))
+    step = 1.0 / MAX_GRID_NODES
+    assert c_grid(0.0, 1.0 - step, step).size == MAX_GRID_NODES
 
 
 def test_empty_or_unbounded_inputs_are_rejected():
