@@ -24,6 +24,9 @@ from .trajectory import write_trajectory_csv
 
 _F = "{:.17g}".format
 
+#: first time of the ``singular`` log grid, unless t_end * 1e-8 is later
+_SINGULAR_GRID_FLOOR = 1e-12
+
 
 def parse_grid(spec: str) -> np.ndarray:
     """Time-grid spec: ``lin:<a>:<b>:<n>``, ``log:<a>:<b>:<n>``, or a comma list."""
@@ -63,8 +66,10 @@ def _cmd_evolve(args) -> int:
 def _cmd_singular(args) -> int:
     if args.n < 2:
         raise ValueError("--n must be >= 2")
+    if not args.t_end > _SINGULAR_GRID_FLOOR:  # NaN fails too
+        raise ValueError(f"--t-end must exceed the grid floor {_SINGULAR_GRID_FLOOR!r}")
     term = parse_term(args.term)
-    grid = np.geomspace(max(args.t_end * 1e-8, 1e-12), args.t_end, args.n)
+    grid = np.geomspace(max(args.t_end * 1e-8, _SINGULAR_GRID_FLOOR), args.t_end, args.n)
     minus = singular_minus(term, args.t_end, args.tol, capture=grid)
     plus = singular_plus(term, args.t_end, args.tol, capture=grid)
     with open(args.out, "w") as fh:

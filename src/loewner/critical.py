@@ -36,6 +36,10 @@ X0_OFFSET = 1e-3
 #: most nodes a c grid may have; each node costs one boundary solve
 MAX_GRID_NODES = 10**6
 
+#: largest n_max of c_iteration, which keeps every iterate; 10**6 of them
+#: take tens of MB
+MAX_ITERATES = 10**6
+
 
 def g_eval(n: int, y: float) -> float:
     """Evaluate g_n(y); raises PoleError when a denominator vanishes."""
@@ -51,21 +55,21 @@ def g_eval(n: int, y: float) -> float:
 
 
 def y_sequence(n_max: int) -> np.ndarray:
-    """Zeros y_1..y_{n_max}, each bisected on (y_{n-1}, 4) to width ``Y_TOL``.
+    """Zeros y_1..y_{n_max}, each bisected on a bracket ending at 4 to width ``Y_TOL``.
 
     g_n rises from -inf just right of y_{n-1} (where g_{n-1} vanishes) to a
-    positive value at 4, so the bracket always carries a sign change.
+    positive value at 4. The bracket of y_n starts at the upper end of the
+    bracket of y_{n-1}, where g_{n-1} >= 0 is tiny, so g_n is large and
+    negative there. (A fixed offset from y_{n-1} would pass y_n once
+    y_n - y_{n-1} ~ 4*pi**2/n**3 falls below it.)
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     ys = []
-    prev = POLE_TOL  # g_1 has a pole at 0; y_1 lies in (0, 4)
+    lo = POLE_TOL + 1e-9  # g_1 has a pole at 0; y_1 lies in (0, 4)
     for n in range(1, n_max + 1):
-        lo = prev + 1e-9
         hi = 4.0
-        f_lo = _g_safe(n, lo)
-        f_hi = _g_safe(n, hi)
-        if not (f_lo < 0.0 < f_hi):
+        if not (_g_safe(n, lo) < 0.0 < _g_safe(n, hi)):
             raise RootFindingError(f"bracketing failed for y_{n}")
         while hi - lo > Y_TOL:
             mid = 0.5 * (lo + hi)
@@ -73,9 +77,8 @@ def y_sequence(n_max: int) -> np.ndarray:
                 lo = mid
             else:
                 hi = mid
-        root = 0.5 * (lo + hi)
-        ys.append(root)
-        prev = root
+        ys.append(0.5 * (lo + hi))
+        lo = hi
     return np.asarray(ys)
 
 
@@ -117,8 +120,8 @@ def c_iteration(c: float, eps: float = 1e-6, n_max: int = 10000) -> CIterationRe
         raise ValueError("c must be positive and finite")
     if not 0 <= eps < math.inf:
         raise ValueError("eps must be finite and >= 0")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    if not 1 <= n_max <= MAX_ITERATES:
+        raise ValueError(f"n_max must lie in [1, {MAX_ITERATES}]")
     vals = [float(c)]
     crossed = None
     for n in range(1, n_max + 1):

@@ -22,7 +22,6 @@ import numpy as np
 from . import integrate
 from .driving import DrivingTerm
 from .errors import BootstrapError, DomainError, IntegrationError, LoewnerError
-from .holder import holder_sup_norm
 from .integrate import solve_scalar
 from .trajectory import Trajectory
 
@@ -57,15 +56,10 @@ class RatioDiagnostic:
     times: np.ndarray
     ratio: np.ndarray
     bound: float
-    norm_used: float
 
     def __post_init__(self):
         if self.bound < 2.0 - 1e-12:
             raise ValueError("ratio bound is below its minimum value 2")
-
-    @property
-    def max_ratio(self) -> float:
-        return float(np.max(self.ratio))
 
 
 def sharp_ratio_bound(c: float) -> float:
@@ -216,21 +210,16 @@ def swallowed_interval(term: DrivingTerm, t_grid, tol: float = 1e-10) -> list[Sw
 def ratio_limsup_check(term: DrivingTerm, t_grid, *, tol: float = 1e-10) -> RatioDiagnostic:
     """phi(t) = (h+(t) - lambda(0)) / sqrt(t) on a grid, against the sharp bound.
 
-    The Lip(1/2) norm c of the term is taken from its closed form if
-    available, else estimated from samples.
+    The Lip(1/2) norm c of the term is its closed form
+    ``term.exact_half_norm``; a term without one raises ValueError.
     """
     grid = np.sort(np.asarray(t_grid, dtype=float))
     if grid.size == 0 or np.any(grid <= 0):
         raise ValueError("t_grid must contain positive times")
     c = term.exact_half_norm
     if c is None:
-        t_end = float(grid[-1])
-        if term.domain_end is not None:
-            t_end = min(t_end, term.domain_end)
-        ts = np.concatenate(([0.0], np.geomspace(max(1e-12, t_end * 1e-9), t_end, 2000)))
-        c = holder_sup_norm(ts, term.values(ts), exponent=0.5)
+        raise ValueError(f"{term!r} has no closed-form Lip(1/2) norm")
     lam0 = term.value(0.0)
     plus = singular_plus(term, float(grid[-1]), tol, capture=grid)
     phi = (plus.values_at(grid).astype(float) - lam0) / np.sqrt(grid)
-    return RatioDiagnostic(times=grid, ratio=phi, bound=sharp_ratio_bound(float(c)),
-                           norm_used=float(c))
+    return RatioDiagnostic(times=grid, ratio=phi, bound=sharp_ratio_bound(float(c)))

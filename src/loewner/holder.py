@@ -25,18 +25,17 @@ MIN_FIT_POINTS = 10
 
 @dataclass(frozen=True)
 class HolderFit:
-    """Result of a power-law fit near t=0 plus the sup-quotient norm of the samples."""
+    """Result of a power-law fit near t=0."""
 
     exponent: float
     coefficient: float
-    sup_norm: float
     grid: str
 
     def __post_init__(self):
         if not (0.0 < self.exponent <= 1.0 + 1e-3):
             raise FitError(f"fitted exponent {self.exponent!r} outside (0, 1]")
-        if self.coefficient < 0 or self.sup_norm < 0:
-            raise FitError("coefficient and sup_norm must be nonnegative")
+        if self.coefficient < 0:
+            raise FitError("coefficient must be nonnegative")
 
 
 def holder_sup_norm(times, values, exponent: float = 0.5) -> float:
@@ -88,8 +87,7 @@ def holder_exponent_fit(times, values,
 
     The first sample must sit at t=0 (it provides f(0)). The slope of the
     least-squares line of log|f-f(0)| against log t over ``window`` is the
-    exponent, exp(intercept) the coefficient. The sup-quotient norm at the
-    fitted exponent over all samples is reported alongside.
+    exponent, exp(intercept) the coefficient.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -104,11 +102,9 @@ def holder_exponent_fit(times, values,
         raise FitError(
             f"only {int(mask.sum())} usable points in window {window!r} (need {MIN_FIT_POINTS})")
     slope, intercept = np.polyfit(np.log(t[mask]), np.log(g[mask]), 1)
-    fit = HolderFit(
+    return HolderFit(
         exponent=float(slope),
         coefficient=float(np.exp(intercept)),
-        sup_norm=holder_sup_norm(t, v, exponent=min(float(slope), 1.0)),
         grid=f"{int(mask.sum())} points in [{lo:g}, {hi:g}] of {t.size} samples",
     )
-    return fit
 

@@ -103,9 +103,8 @@ def check_tangent_exponents() -> CheckResult:
     ts = np.concatenate(([0.0], np.geomspace(lo, hi, 60)))
     lam = tangent.TangentTerm(1.0).values(ts)
     fit = holder_exponent_fit(ts, lam, window=TANGENT_FIT_WINDOW)
-    coef_target = tangent.series_coefficients().beta_leading
     ok = (TANGENT_EXP_RANGE[0] <= fit.exponent <= TANGENT_EXP_RANGE[1]
-          and abs(fit.coefficient / coef_target - 1.0) <= TANGENT_COEF_RTOL)
+          and abs(fit.coefficient / tangent.BETA_LEADING - 1.0) <= TANGENT_COEF_RTOL)
 
     elo, ehi = ENDPOINT_FIT_WINDOW
     ets = np.geomspace(elo, ehi, 60)

@@ -48,6 +48,9 @@ from .errors import DomainError, RootFindingError
 #: roots (t < pi**2/6); 0.05 keeps the arc a proper slit with ample margin
 T_MAX_DEFAULT = 0.05
 
+#: beta(t) ~ BETA_LEADING * t**(1/3) as t -> 0, and so does lambda(t)
+BETA_LEADING = (12.0 * math.pi) ** (1.0 / 3.0)
+
 _SQRT_PI = math.sqrt(math.pi)
 _FOUR_SQRT_PI = 4.0 * _SQRT_PI
 _NEWTON_RESIDUAL_TOL = 1e-14
@@ -71,26 +74,6 @@ class SlitParams:
     alpha: float
     beta: float
     gamma_prevertex: float
-
-
-@dataclass(frozen=True)
-class SeriesCoefficients:
-    """Leading expansion constants of the tangent-slit construction."""
-
-    alpha_leading: float   # alpha(t) ~ -alpha_leading * t**(2/3)
-    beta_leading: float    # beta(t) ~ beta_leading * t**(1/3); also drives lambda
-    A2: float              # next alpha coefficient: alpha = -a1 t**(2/3) + A2 t + ...
-    h_t43_coeff: float     # h(z, t) = z + 2t/z + h_t43_coeff * t**(4/3) + ...
-
-
-def series_coefficients() -> SeriesCoefficients:
-    beta_leading = (12.0 * math.pi) ** (1.0 / 3.0)
-    return SeriesCoefficients(
-        alpha_leading=-((9.0 / (4.0 * math.pi)) ** (1.0 / 3.0)),
-        beta_leading=beta_leading,
-        A2=-3.0 / (4.0 * math.pi),
-        h_t43_coeff=1.5 * beta_leading,
-    )
 
 
 def _root_s(t: float) -> float:

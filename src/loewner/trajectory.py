@@ -57,18 +57,19 @@ class Trajectory:
         return self.values_at([t])[0]
 
     def values_at(self, ts) -> np.ndarray:
-        """Values at sample times, each matched within a relative tolerance of
-        1e-12; raises KeyError on the first time that is not a sample.
+        """Values at sample times; raises KeyError on the first time that is not a sample.
 
-        When two samples lie within the tolerance of a time, the lower one wins.
+        Each time t takes the nearest sample, the lower one on a tie, and
+        matches it when they differ by at most 1e-12 * |t|. A non-finite time
+        matches nothing.
         """
         ts = np.asarray(ts, dtype=float).ravel()
         times = self.times
-        tol = 1e-12 * np.maximum(1.0, np.abs(ts))
         i = np.searchsorted(times, ts)
         below = np.maximum(i - 1, 0)
-        pick = np.where(np.abs(times[below] - ts) <= tol, below, np.minimum(i, times.size - 1))
-        missing = ~(np.abs(times[pick] - ts) <= tol)
+        above = np.minimum(i, times.size - 1)
+        pick = np.where(np.abs(times[above] - ts) < np.abs(times[below] - ts), above, below)
+        missing = ~(np.isfinite(ts) & (np.abs(times[pick] - ts) <= 1e-12 * np.abs(ts)))
         if missing.any():
             t = float(ts[missing.argmax()])
             raise KeyError(f"time {t!r} is not a sample of this trajectory")

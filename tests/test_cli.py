@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from loewner.cli import main, parse_grid
+from loewner.repro import SHARP_RATIO_RTOL
 
 
 def test_parse_grid_forms():
@@ -44,6 +45,19 @@ def test_singular_csv_headers(tmp_path):
     A = (1 + math.sqrt(17)) / 2
     assert hp == pytest.approx(A, rel=1e-6)
     assert lam == pytest.approx(1.0)
+
+
+def test_singular_rows_at_tiny_t_end_are_the_captured_samples(tmp_path):
+    # the solver spaces samples far closer than 1e-12 here; each row must be
+    # the sample captured at its own t, which follows A+- sqrt(t)
+    out = tmp_path / "sing.csv"
+    assert main(["singular", "--term", "sqrt:1", "--t-end", "1e-10", "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (200, 4)
+    t, h_minus, h_plus = rows[:, 0], rows[:, 1], rows[:, 2]
+    root = math.sqrt(17.0)
+    for h, a in ((h_minus, 0.5 * (1.0 - root)), (h_plus, 0.5 * (1.0 + root))):
+        assert np.max(np.abs(h / (a * np.sqrt(t)) - 1.0)) <= SHARP_RATIO_RTOL
 
 
 def test_tangent_csv(tmp_path):
@@ -129,9 +143,15 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     # a c grid of about twice the node limit (3.5 to 4.5 in steps of 5e-7)
     assert main(["critical", "--mode", "threshold", "--c-step", "5e-7"]) == 2
     assert main(["critical", "--mode", "c-iteration", "--n-max", "0"]) == 2
+    # at c = 4 the iteration stays positive and would keep all n_max iterates
+    assert main(["critical", "--mode", "c-iteration", "--n-max", str(10**6 + 1)]) == 2
     assert main(["critical", "--mode", "y-sequence", "--n", "-2"]) == 2
     assert main(["singular", "--term", "sqrt:1", "--t-end", "1", "--n", "0",
                  "--out", str(tmp_path / "s.csv")]) == 2
+    # a singular t_end at or below the log grid's first time 1e-12, or NaN
+    for t_end in ("1e-13", "1e-12", "nan"):
+        assert main(["singular", "--term", "sqrt:1", "--t-end", t_end, "--n", "5",
+                     "--out", str(tmp_path / "s.csv")]) == 2
     # a tangent radius that is not finite, and a start point with extra coordinates
     for term in ("tangent:nan", "tangent:inf"):
         assert main(["evolve", "--geometry", "halfplane", "--term", term, "--start", "1",

@@ -159,8 +159,13 @@ def test_ratio_check_sqrt_attains_bound():
 
 def test_ratio_check_lind_stays_below_bound():
     diag = ratio_limsup_check(Lind(4.0), np.geomspace(1e-6, 0.9, 30))
-    assert diag.norm_used == 4.0
-    assert diag.max_ratio <= diag.bound + 1e-3
+    assert diag.bound == sharp_ratio_bound(4.0)
+    assert diag.ratio.max() <= diag.bound + 1e-3
+
+
+def test_ratio_check_needs_a_closed_form_norm():
+    with pytest.raises(ValueError, match="no closed-form Lip"):
+        ratio_limsup_check(FromCallable(Sqrt(1.0).value), np.geomspace(1e-6, 1.0, 5))
 
 
 #: size of the shared grid on which singular_family checks straddling and nesting

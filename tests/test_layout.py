@@ -1,5 +1,5 @@
-"""Package layout checks: module boundaries, callers of public functions and the
-benchmark's patch points."""
+"""Package layout checks: module boundaries, callers of public functions,
+readers of public fields and properties, and the benchmark's patch points."""
 
 import ast
 import importlib.util
@@ -91,6 +91,10 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
                for d in cls.decorator_list)
 
 
+def _dataclass_fields(cls: ast.ClassDef) -> list[ast.AnnAssign]:
+    return [f for f in cls.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+
+
 def _defaulted_parameters(function: ast.FunctionDef, skip_self: bool = False):
     """(name, position) of each defaulted parameter; position is None for a
     keyword-only one."""
@@ -116,9 +120,8 @@ def _public_signatures(trees):
                     if isinstance(item, ast.FunctionDef) and item.name == "__init__":
                         params = _defaulted_parameters(item, skip_self=True)
                 if _is_dataclass(node):
-                    fields = [f for f in node.body
-                              if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
-                    params = [(f.target.id, k) for k, f in enumerate(fields) if f.value is not None]
+                    params = [(f.target.id, k) for k, f in enumerate(_dataclass_fields(node))
+                              if f.value is not None]
                 found[node.name] = (f"{module}.{node.name}", params)
     return found
 
@@ -151,6 +154,39 @@ def test_every_defaulted_parameter_is_set_by_src():
     # an option that only tests set is a knob the package never turns; tests
     # that need another value patch the module constant instead
     assert _test_only_parameters() == []
+
+
+def _attribute_reads(tree) -> Counter:
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
+def _unread_public_members() -> list[str]:
+    """Fields of public dataclasses and public properties of public classes in
+    src/ that no code outside their own class, in src/ or benchmarks/, reads as
+    an attribute of that name."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    readers = list(trees.values()) + [ast.parse(p.read_text())
+                                      for p in sorted((ROOT / "benchmarks").glob("*.py"))]
+    reads = sum(map(_attribute_reads, readers), Counter())
+    found = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            members = [f.target.id for f in _dataclass_fields(cls)] if _is_dataclass(cls) else []
+            members += [m.name for m in cls.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                        and any(_referenced_name(d) == "property" for d in m.decorator_list)]
+            own = _attribute_reads(cls)
+            found += [f"{module}.{cls.name}.{m}" for m in members if reads[m] == own[m]]
+    return found
+
+
+def test_every_public_field_and_property_is_read():
+    # a result field nothing reads is work done for no one; the benchmark
+    # counts as a reader, since it checks what the package computes
+    assert _unread_public_members() == []
 
 
 def _load_spans():

@@ -8,8 +8,14 @@ from hypothesis import given, strategies as st
 
 from loewner import DomainError, PoleError
 from loewner.halfplane import evolve_interior
-from loewner.tangent import (T_MAX_DEFAULT, TangentTerm, series_coefficients,
-                             solve_params)
+from loewner.tangent import BETA_LEADING, T_MAX_DEFAULT, TangentTerm, solve_params
+
+#: alpha(t) = ALPHA_LEADING * t**(2/3) + A2 * t + ... as t -> 0
+ALPHA_LEADING = -((9.0 / (4.0 * math.pi)) ** (1.0 / 3.0))
+A2 = -3.0 / (4.0 * math.pi)
+
+#: |h(z, t) - z - 2t/z| ~ H_T43_COEFF * t**(4/3) / |z|**2 as t -> 0
+H_T43_COEFF = 1.5 * BETA_LEADING
 
 
 def _log1p_complex(z):
@@ -43,14 +49,13 @@ def evaluate_map(params, w):
 
 
 def test_series_coefficients_arithmetic():
-    c = series_coefficients()
-    assert c.alpha_leading == pytest.approx(-((9 / (4 * math.pi)) ** (1 / 3)), rel=1e-14)
-    assert c.beta_leading == pytest.approx((12 * math.pi) ** (1 / 3), rel=1e-14)
-    assert c.alpha_leading == pytest.approx(-0.89468, abs=1e-4)
-    assert c.beta_leading == pytest.approx(3.3531, abs=1e-4)
-    assert c.A2 == pytest.approx(-3 / (4 * math.pi), rel=1e-14)
-    assert c.A2 == pytest.approx(-0.23873, abs=1e-4)
-    assert c.h_t43_coeff == pytest.approx(1.5 * c.beta_leading)
+    assert ALPHA_LEADING == pytest.approx(-((9 / (4 * math.pi)) ** (1 / 3)), rel=1e-14)
+    assert BETA_LEADING == pytest.approx((12 * math.pi) ** (1 / 3), rel=1e-14)
+    assert ALPHA_LEADING == pytest.approx(-0.89468, abs=1e-4)
+    assert BETA_LEADING == pytest.approx(3.3531, abs=1e-4)
+    assert A2 == pytest.approx(-3 / (4 * math.pi), rel=1e-14)
+    assert A2 == pytest.approx(-0.23873, abs=1e-4)
+    assert H_T43_COEFF == pytest.approx(1.5 * BETA_LEADING)
 
 
 def test_degenerate_slit_at_t0():
@@ -78,7 +83,7 @@ def test_param_invariants_on_log_grid():
 
 
 def test_alpha_near_leading_term_at_small_t():
-    lead = series_coefficients().alpha_leading * (1e-3) ** (2.0 / 3.0)
+    lead = ALPHA_LEADING * (1e-3) ** (2.0 / 3.0)
     assert solve_params(1e-3).alpha == pytest.approx(lead, rel=0.05)
 
 
@@ -89,11 +94,10 @@ def test_small_t_exponents_and_coefficients():
     params = [solve_params(float(t)) for t in ts]
     sa, ia = np.polyfit(np.log(ts), np.log([-p.alpha for p in params]), 1)
     sb, ib = np.polyfit(np.log(ts), np.log([p.beta for p in params]), 1)
-    c = series_coefficients()
     assert sa == pytest.approx(2.0 / 3.0, abs=1e-3)
     assert sb == pytest.approx(1.0 / 3.0, abs=1e-3)
-    assert math.exp(ia) == pytest.approx(-c.alpha_leading, rel=0.01)
-    assert math.exp(ib) == pytest.approx(c.beta_leading, rel=0.01)
+    assert math.exp(ia) == pytest.approx(-ALPHA_LEADING, rel=0.01)
+    assert math.exp(ib) == pytest.approx(BETA_LEADING, rel=0.01)
 
 
 def test_driving_term_zero_at_zero():
@@ -117,7 +121,7 @@ def test_driving_term_exponent_and_coefficient():
     lams = np.array([solve_params(float(t)).gamma_prevertex for t in ts])
     slope, intercept = np.polyfit(np.log(ts), np.log(lams), 1)
     assert slope == pytest.approx(1.0 / 3.0, abs=1e-3)
-    assert math.exp(intercept) == pytest.approx(series_coefficients().beta_leading, rel=0.01)
+    assert math.exp(intercept) == pytest.approx(BETA_LEADING, rel=0.01)
 
 
 def test_map_hydrodynamic_normalization():
@@ -249,21 +253,19 @@ def test_hot_path_matches_public_solve(r, u):
 def test_scaled_term_exponent_invariance():
     # exponent stays 1/3; coefficient scales as r**(1/3) * (12 pi)**(1/3); the
     # fit window scales with r**2 so the estimator bias is the same for all r
-    c1 = series_coefficients().beta_leading
     for r in (0.5, 2.0):
         term = TangentTerm(r)
         ts = r * r * np.geomspace(1e-12, 1e-6, 40)
         vals = term.values(ts)
         slope, intercept = np.polyfit(np.log(ts), np.log(vals), 1)
         assert slope == pytest.approx(1.0 / 3.0, abs=1e-3)
-        assert math.exp(intercept) == pytest.approx(r ** (1.0 / 3.0) * c1, rel=0.01)
+        assert math.exp(intercept) == pytest.approx(r ** (1.0 / 3.0) * BETA_LEADING, rel=0.01)
 
 
 def test_h_expansion_t43_term():
     # h(1/zeta, t) - 1/zeta - 2 zeta t grows like t**(4/3); the measured
     # coefficient follows (3/2) (12 pi)^(1/3) |zeta|^2 (checked at two z)
     term = TangentTerm(1.0)
-    c43 = series_coefficients().h_t43_coeff
     for z0 in (2j, 1 + 1j):
         ts = np.geomspace(1e-6, 1e-4, 10)
         resid = []
@@ -272,4 +274,4 @@ def test_h_expansion_t43_term():
             resid.append(abs(traj.final_value - z0 - 2 * t_end / z0))
         slope, intercept = np.polyfit(np.log(ts), np.log(resid), 1)
         assert slope == pytest.approx(4.0 / 3.0, abs=0.02)
-        assert math.exp(intercept) == pytest.approx(c43 / abs(z0) ** 2, rel=0.1)
+        assert math.exp(intercept) == pytest.approx(H_T43_COEFF / abs(z0) ** 2, rel=0.1)

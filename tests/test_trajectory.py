@@ -28,7 +28,8 @@ def trajectory_and_queries(draw):
     """A real or complex trajectory and query times: samples, points within
     (or just beyond) the 1e-12 relative tolerance of a sample, arbitrary
     times, and an occasional NaN or infinity. Some samples lie closer together
-    than the tolerance, so a time can be near two of them."""
+    than the tolerance, so a time can be near two of them, and some lie near
+    t = 0, where the tolerance shrinks to nothing."""
     t0 = draw(st.floats(-10.0, 10.0))
     steps = draw(st.lists(st.one_of(st.floats(1e-13, 3e-12), st.floats(1e-3, 1.0)),
                           max_size=30))
@@ -39,19 +40,21 @@ def trajectory_and_queries(draw):
     else:
         values = [draw(st.floats(-1e6, 1e6, **finite)) for _ in times]
     near = st.tuples(st.integers(0, times.size - 1), st.floats(-2e-12, 2e-12)).map(
-        lambda kd: times[kd[0]] + kd[1] * max(1.0, abs(times[kd[0]])))
+        lambda kd: times[kd[0]] + kd[1] * abs(times[kd[0]]))
     query = st.one_of(near, st.sampled_from(times.tolist()), st.floats(-20.0, 20.0),
                       st.sampled_from([math.nan, math.inf, -math.inf]))
     return Trajectory(times, np.asarray(values)), draw(st.lists(query, max_size=20))
 
 
 def reference_value_at(traj, t):
-    """Per-time sample lookup: the first of the samples around t (from below)
-    within the 1e-12 relative tolerance, the reference for values_at."""
+    """Per-time sample lookup by linear scan, the reference for values_at: the
+    nearest sample (the lower one on a tie) if it lies within 1e-12 * |t| of a
+    finite t."""
     t = float(t)
-    i = int(np.searchsorted(traj.times, t))
-    for j in (i - 1, i, i + 1):
-        if 0 <= j < traj.times.size and abs(traj.times[j] - t) <= 1e-12 * max(1.0, abs(t)):
+    if math.isfinite(t):
+        dist = [abs(s - t) for s in traj.times]
+        j = dist.index(min(dist))
+        if dist[j] <= 1e-12 * abs(t):
             return traj.values[j]
     raise KeyError(f"time {t!r} is not a sample of this trajectory")
 
