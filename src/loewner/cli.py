@@ -66,8 +66,9 @@ def _cmd_evolve(args) -> int:
 def _cmd_singular(args) -> int:
     if args.n < 2:
         raise ValueError("--n must be >= 2")
-    if not args.t_end > _SINGULAR_GRID_FLOOR:  # NaN fails too
-        raise ValueError(f"--t-end must exceed the grid floor {_SINGULAR_GRID_FLOOR!r}")
+    if not _SINGULAR_GRID_FLOOR < args.t_end < math.inf:  # NaN fails too
+        raise ValueError(f"--t-end must be finite and exceed the grid floor "
+                         f"{_SINGULAR_GRID_FLOOR!r}")
     term = parse_term(args.term)
     grid = np.geomspace(max(args.t_end * 1e-8, _SINGULAR_GRID_FLOOR), args.t_end, args.n)
     minus = singular_minus(term, args.t_end, args.tol, capture=grid)
@@ -146,7 +147,8 @@ def _cmd_critical(args) -> int:
         payload = {
             "threshold_experiment": [
                 {"c": v.c, "verdict": "collides_by_t1" if v.collides else "no_collision",
-                 "first_collision_t": v.first_collision_t, "x0": v.x0}
+                 "first_collision_t": v.first_collision_t, "y_handoff": v.y_handoff,
+                 "x0": v.x0}
                 for v in exp.verdicts],
             "threshold": exp.threshold,
             "monotone": exp.is_monotone,

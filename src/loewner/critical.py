@@ -6,9 +6,18 @@ strictly increasing sequence with limit 4 (numerically y_n matches
 4*cos(pi/(n+2)); that closed form is validated against bisection in the tests,
 never used as ground truth). The iteration c_0 = c, c_{n+1} = c - 4/((1+eps)*c_n)
 must stay positive for a boundary collision at t = 1 to be possible, which
-forces c >= 4/(1+eps). The experiment side drives the family
-lambda_c(t) = c - c*sqrt(1-t) (norm c) from one starting point per c and
-reports the empirical threshold of collision by t = 1.
+forces c >= 4/(1+eps).
+
+The experiment drives the family lambda_c(t) = c - c*sqrt(1-t) (norm |c|)
+from one starting point per c and decides whether it collides by t = 1. The
+last stretch before t = 1 is not integrated: in the self-similar variables
+tau = -log(1-t) and y = (x - lambda)/sqrt(1-t) the family obeys the
+autonomous equation dy/dtau = (y**2 - c*y + 4)/(2*y), whose roots
+y+- = (c +- sqrt(c**2 - 16))/2 are real only for c >= 4. A point collides at
+t = 1 when y tends to y-, which it does from any y < y+ when c >= 4; otherwise
+y grows like exp(tau/2) and the gap x - lambda = y*sqrt(1-t) stays open. So
+each solve stops at the terminal layer t = 1 - ``TERMINAL_EPS`` and reads y
+there.
 """
 
 from __future__ import annotations
@@ -33,12 +42,25 @@ Y_TOL = 1e-12
 SCAN_TOL = 1e-9
 X0_OFFSET = 1e-3
 
+#: the threshold solve stops at t_h = T*(1 - TERMINAL_EPS), T the term's
+#: domain end, and the verdict is read from y(t_h). The gap there,
+#: y*sqrt(TERMINAL_EPS*T), must stay far above integrate.COLLISION_DELTA, or
+#: that absolute knob decides the verdict again: 1e-2, 1e-4 and 1e-6 give the
+#: same verdicts for deltas of 1e-8 to 1e-4 and scales r in [0.3, 3], 1e-8
+#: does not
+TERMINAL_EPS = 1e-4
+
 #: most nodes a c grid may have; each node costs one boundary solve
 MAX_GRID_NODES = 10**6
 
 #: largest n_max of c_iteration, which keeps every iterate; 10**6 of them
 #: take tens of MB
 MAX_ITERATES = 10**6
+
+#: largest n_max of y_sequence; the cost grows like n_max**2 (each of about
+#: 40 bisection steps per zero runs the O(n) recursion), and 1000 zeros take
+#: about 1.1 s on a 2-vCPU Xeon VM with Python 3.11
+MAX_Y_ZEROS = 1000
 
 
 def g_eval(n: int, y: float) -> float:
@@ -63,8 +85,8 @@ def y_sequence(n_max: int) -> np.ndarray:
     negative there. (A fixed offset from y_{n-1} would pass y_n once
     y_n - y_{n-1} ~ 4*pi**2/n**3 falls below it.)
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    if not 1 <= n_max <= MAX_Y_ZEROS:
+        raise ValueError(f"n_max must lie in [1, {MAX_Y_ZEROS}]")
     ys = []
     lo = POLE_TOL + 1e-9  # g_1 has a pole at 0; y_1 lies in (0, 4)
     for n in range(1, n_max + 1):
@@ -139,10 +161,18 @@ def c_iteration(c: float, eps: float = 1e-6, n_max: int = 10000) -> CIterationRe
 
 @dataclass(frozen=True)
 class ThresholdVerdict:
+    """Whether the point x0 = lambda(0) + ``X0_OFFSET`` collides by t = 1.
+
+    ``y_handoff`` is y = (x - lambda)/sqrt(T - t) at the terminal handoff
+    t = T*(1 - ``TERMINAL_EPS``), or None when the point was swallowed before
+    it; a collision decided there has ``first_collision_t`` = T.
+    """
+
     c: float
     collides: bool
     first_collision_t: float | None
     x0: float | None
+    y_handoff: float | None
 
 
 @dataclass(frozen=True)
@@ -188,20 +218,31 @@ def c_grid(c_min: float, c_max: float, c_step: float) -> np.ndarray:
 
 def collision_threshold_experiment(c_grid) -> ThresholdExperiment:
     """For each c, does a point x0 > lambda(0) collide with
-    lambda_c(t) = c - c*sqrt(1-t) by t=1?
+    lambda_c(t) = c - c*sqrt(1-t) by t = 1?
 
-    One solve per c, from x0 = lambda(0) + ``X0_OFFSET``, decides it. Real
-    solutions of dx/dt = 2/(x - lambda(t)) never cross, so a point nearer
-    lambda(0) stays nearer lambda(t) and is swallowed no later than any point
-    farther out: if this one is not swallowed by t=1, none to its right is.
+    One solve per c, from x0 = lambda(0) + ``X0_OFFSET`` to the handoff
+    t_h = T*(1 - ``TERMINAL_EPS``), decides it. Real solutions of
+    dx/dt = 2/(x - lambda(t)) never cross, so a point nearer lambda(0) stays
+    nearer lambda(t) and is swallowed no later than any point farther out: if
+    this one is not swallowed by t = 1, none to its right is. The point
+    collides when it is swallowed before t_h, or when c >= 4 and
+    y(t_h) = (x - lambda)/sqrt(T - t_h) lies below the larger root y+ of
+    y**2 - c*y + 4 (see the module docstring); the rule uses the signed c, and
+    y is scale-free, so it holds for Loewner-scaled terms of the family too.
     """
     verdicts = []
-    for c in np.asarray(c_grid, dtype=float):
-        term = Lind(float(c))
+    for c in np.asarray(c_grid, dtype=float).tolist():
+        term = Lind(c)
         x0 = term.value(0.0) + X0_OFFSET
-        traj = evolve_boundary(term, x0, 1.0, SCAN_TOL, record=False)
-        hit = traj.is_swallowed
-        verdicts.append(ThresholdVerdict(c=float(c), collides=hit,
-                                         first_collision_t=traj.swallowed_at,
-                                         x0=x0 if hit else None))
+        end = term.domain_end
+        t_h = end * (1.0 - TERMINAL_EPS)
+        traj = evolve_boundary(term, x0, t_h, SCAN_TOL, record=False)
+        if traj.is_swallowed:
+            hit, t_hit, y = True, traj.swallowed_at, None
+        else:
+            y = (float(traj.final_value) - term.value(t_h)) / math.sqrt(end - t_h)
+            hit = c >= 4.0 and y < 0.5 * (c + math.sqrt(c * c - 16.0))
+            t_hit = end if hit else None
+        verdicts.append(ThresholdVerdict(c=c, collides=hit, first_collision_t=t_hit,
+                                         x0=x0 if hit else None, y_handoff=y))
     return ThresholdExperiment(verdicts=tuple(verdicts))

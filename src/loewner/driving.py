@@ -174,6 +174,23 @@ class Sampled(DrivingTerm):
         v0, v1 = vs[i - 1], vs[i]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
+    def values(self, ts) -> np.ndarray:
+        """Evaluate on an array of times: ``value`` for each, in one
+        searchsorted and one interpolation expression."""
+        t = np.asarray(ts, dtype=float).ravel()
+        end = self.domain_end
+        inside = (t >= -_TIME_SLACK) & (t <= end + _TIME_SLACK * max(1.0, end))
+        if not inside.all():
+            self._clip_time(float(t[np.argmin(inside)]))  # raises DomainError
+        t = np.where(t < 0.0, 0.0, np.where(t > end, end, t))
+        nodes, vs = self.times, self.table_values
+        i = np.searchsorted(nodes, t, side="right")
+        j = np.minimum(i, nodes.size - 1)
+        t0, t1 = nodes[j - 1], nodes[j]
+        v0, v1 = vs[j - 1], vs[j]
+        # t = end lands past the last node and takes its value, as in _raw
+        return np.where(i >= nodes.size, vs[-1], v0 + (v1 - v0) * (t - t0) / (t1 - t0))
+
     def spec_string(self) -> str:
         if self.source is None:
             raise NotImplementedError("sampled term without a file source")

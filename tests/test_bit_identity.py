@@ -3,9 +3,13 @@
 A speed change to the stepper, the flows or the driving terms must keep every
 real-number operation the same IEEE operation on the same operands; these pins
 fail on any drift in the last bit. The values were recorded before the
-stepper took its right-hand side as a function of (y, lambda).
+stepper took its right-hand side as a function of (y, lambda), except the
+threshold experiment's handoff state y(t_h), recorded when its solve first
+stopped at the terminal layer (a plain solve to t_h with the earlier stepper
+gives the same bits).
 """
 
+from loewner.critical import collision_threshold_experiment
 from loewner.disk import evolve_disk_boundary
 from loewner.driving import Lind, Sampled
 from loewner.halfplane import evolve_boundary, singular_plus
@@ -15,6 +19,11 @@ from loewner.trace import extract_trace
 
 def test_lind_swallowing_time_is_pinned():
     assert evolve_boundary(Lind(4.0), 2.0, 1.0).swallowed_at.hex() == "0x1.ffffffffff802p-1"
+
+
+def test_threshold_handoff_state_is_pinned():
+    (verdict,) = collision_threshold_experiment([4.0]).verdicts
+    assert verdict.y_handoff.hex() == "0x1.bcf8483f9ab50p+0"
 
 
 def test_tangent_singular_endpoint_is_pinned():

@@ -1,11 +1,13 @@
 import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from loewner.cli import main, parse_grid
+from loewner.critical import MAX_Y_ZEROS
 from loewner.repro import SHARP_RATIO_RTOL
 
 
@@ -117,9 +119,16 @@ def test_critical_json_modes(tmp_path, capsys):
     assert main(["critical", "--mode", "threshold", "--c-min", "3.9", "--c-max", "4.1",
                  "--c-step", "0.2", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    verdicts = {v["c"]: v["verdict"] for v in payload["threshold_experiment"]}
-    assert verdicts[3.9] == "no_collision"
-    assert verdicts[4.1] == "collides_by_t1"
+    verdicts = {v["c"]: v for v in payload["threshold_experiment"]}
+    assert verdicts[3.9]["verdict"] == "no_collision"
+    assert verdicts[4.1]["verdict"] == "collides_by_t1"
+    # the handoff state y(t_h) says why: below y+ = (c + sqrt(c^2 - 16))/2
+    assert verdicts[4.1]["y_handoff"] < 0.5 * (4.1 + math.sqrt(4.1**2 - 16.0))
+    assert verdicts[4.1]["first_collision_t"] == 1.0
+
+    assert main(["critical", "--mode", "threshold"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["threshold"] == 4.0 and payload["monotone"] is True
 
 
 def test_paper_repro_section_two(capsys):
@@ -148,10 +157,15 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["critical", "--mode", "y-sequence", "--n", "-2"]) == 2
     assert main(["singular", "--term", "sqrt:1", "--t-end", "1", "--n", "0",
                  "--out", str(tmp_path / "s.csv")]) == 2
-    # a singular t_end at or below the log grid's first time 1e-12, or NaN
-    for t_end in ("1e-13", "1e-12", "nan"):
-        assert main(["singular", "--term", "sqrt:1", "--t-end", t_end, "--n", "5",
-                     "--out", str(tmp_path / "s.csv")]) == 2
+    # a singular t_end at or below the log grid's first time 1e-12, or not
+    # finite; rejected before the grid is built, so numpy warns about nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t_end in ("1e-13", "1e-12", "nan", "inf"):
+            assert main(["singular", "--term", "sqrt:1", "--t-end", t_end, "--n", "5",
+                         "--out", str(tmp_path / "s.csv")]) == 2
+    # a y-sequence longer than critical.MAX_Y_ZEROS (its O(n^2) cost)
+    assert main(["critical", "--mode", "y-sequence", "--n", str(MAX_Y_ZEROS + 1)]) == 2
     # a tangent radius that is not finite, and a start point with extra coordinates
     for term in ("tangent:nan", "tangent:inf"):
         assert main(["evolve", "--geometry", "halfplane", "--term", term, "--start", "1",

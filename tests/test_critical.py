@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from loewner import Lind, PoleError, integrate
-from loewner.critical import (MAX_GRID_NODES, SCAN_TOL, ThresholdVerdict, c_grid,
+from loewner import Lind, PoleError, Scaled, critical, integrate
+from loewner.critical import (MAX_GRID_NODES, MAX_Y_ZEROS, SCAN_TOL, X0_OFFSET, c_grid,
                               c_iteration, collision_threshold_experiment, g_eval,
                               y_sequence)
 from loewner.halfplane import evolve_boundary
+from loewner.integrate import solve_scalar
 
 
 def test_g_values_by_substitution():
@@ -116,6 +117,18 @@ def test_empty_or_unbounded_inputs_are_rejected():
         y_sequence(0)
 
 
+def test_y_sequence_length_is_bounded(monkeypatch):
+    # refused before any bisection (each zero costs O(n) recursion steps):
+    # a g_eval that fails when called shows that none runs
+    def no_evaluation(n, y):
+        raise AssertionError("g_eval ran")
+
+    monkeypatch.setattr(critical, "g_eval", no_evaluation)
+    for n_max in (MAX_Y_ZEROS + 1, 10**9):
+        with pytest.raises(ValueError, match="n_max must lie in"):
+            y_sequence(n_max)
+
+
 def test_threshold_experiment_small_grid():
     exp = collision_threshold_experiment([3.5, 4.0, 4.4])
     by_c = {v.c: v for v in exp.verdicts}
@@ -133,22 +146,121 @@ def test_lind_collision_from_x0_two():
     assert traj.swallowed_at == pytest.approx(1.0, abs=1e-3)
 
 
-def _serial_scan(c: float) -> ThresholdVerdict:
-    """Reference verdict: the first of 200 start points right of lambda(0)
-    that is swallowed by t = 1."""
+def _serial_scan_collides(c: float) -> bool:
+    """Reference: whether any of 200 start points right of lambda(0) is
+    swallowed by a solve to t = 1, gap-checked against COLLISION_DELTA."""
     term = Lind(c)
-    for x0 in term.value(0.0) + np.geomspace(1e-3, 20.0, 200):
-        traj = evolve_boundary(term, float(x0), 1.0, SCAN_TOL, record=False)
-        if traj.is_swallowed:
-            return ThresholdVerdict(c=c, collides=True, first_collision_t=traj.swallowed_at,
-                                    x0=float(x0))
-    return ThresholdVerdict(c=c, collides=False, first_collision_t=None, x0=None)
+    return any(evolve_boundary(term, float(x0), 1.0, SCAN_TOL, record=False).is_swallowed
+               for x0 in term.value(0.0) + np.geomspace(1e-3, 20.0, 200))
 
 
 def test_one_solve_verdict_matches_the_serial_scan():
-    cs = (3.6, 3.9, 3.92, 3.925, 3.95, 3.99, 4.0, 4.3)
+    agree = (3.6, 3.9, 3.92, 4.0, 4.3)
+    exp = collision_threshold_experiment(agree)
+    assert [v.collides for v in exp.verdicts] == [_serial_scan_collides(c) for c in agree]
+
+
+def test_terminal_verdict_mends_the_serial_scans_false_collisions():
+    # a solve to t = 1 is "swallowed" within ~1e-13 of t = 1 for c in about
+    # (3.92, 4): the gap y*sqrt(1 - t) falls under COLLISION_DELTA while y is
+    # still crossing the bottleneck of dy/dtau = (y**2 - c*y + 4)/(2y), which
+    # it leaves for y -> infinity when c < 4
+    cs = (3.925, 3.95, 3.99)
     exp = collision_threshold_experiment(cs)
-    assert exp.verdicts == tuple(_serial_scan(c) for c in cs)
+    assert not any(v.collides for v in exp.verdicts)
+    assert all(_serial_scan_collides(c) for c in cs)
+
+
+#: c_grid(3.5, 4.5, 0.01) and the values nearest the threshold and inside the
+#: band where a solve to t = 1 collides falsely
+ORACLE_CS = tuple(c_grid(3.5, 4.5, 0.01).tolist()) + (3.92, 3.95, 3.999, 3.9999, 4.0001)
+
+
+def _oracle_collides(c: float) -> bool:
+    """Collision by t = 1 from the self-similar flow, without its roots.
+
+    u = log y with y = (x - lambda)/sqrt(1 - t) obeys
+    du/dtau = (1 - c*exp(-u) + 4*exp(-2u))/2 in tau = -log(1 - t), from
+    u = log(X0_OFFSET) at tau = 0. An escape (u past 50) before tau = 3000 is
+    no collision; a bounded u keeps the gap y*sqrt(1 - t) shrinking to 0.
+    """
+    res = solve_scalar(lambda u, _: 0.5 * (1.0 - c * math.exp(-u) + 4.0 * math.exp(-2.0 * u)),
+                       lambda _: 0.0, 0.0, math.log(X0_OFFSET), 3000.0, tol=1e-10,
+                       gap=lambda u, _: max(50.0 - u, 0.0), record=False)
+    return res.swallowed_at is None
+
+
+def test_oracle_reads_the_paper_threshold():
+    assert [_oracle_collides(c) for c in ORACLE_CS] == [c >= 4.0 for c in ORACLE_CS]
+
+
+def test_terminal_verdict_matches_the_oracle():
+    exp = collision_threshold_experiment(ORACLE_CS)
+    assert [v.collides for v in exp.verdicts] == [_oracle_collides(c) for c in ORACLE_CS]
+    assert exp.threshold == 4.0 and exp.is_monotone
+
+
+def test_terminal_verdict_does_not_depend_on_the_resolution_knobs(monkeypatch):
+    reference = [v.collides for v in collision_threshold_experiment(ORACLE_CS).verdicts]
+    for owner, name, value in ((integrate, "COLLISION_DELTA", 1e-8),
+                               (integrate, "COLLISION_DELTA", 1e-4),
+                               (critical, "TERMINAL_EPS", 1e-2),
+                               (critical, "TERMINAL_EPS", 1e-6)):
+        with monkeypatch.context() as patched:
+            patched.setattr(owner, name, value)
+            exp = collision_threshold_experiment(ORACLE_CS)
+        assert [v.collides for v in exp.verdicts] == reference, (name, value)
+
+
+@settings(max_examples=60)
+@given(c=st.one_of(st.floats(-12.0, 12.0), st.sampled_from((4.0, 3.9999, 4.0001, 0.0))))
+def test_collision_exactly_from_norm_four(c):
+    # the signed parameter decides: lambda_c moves away from x0 when c <= 0
+    (v,) = collision_threshold_experiment([c]).verdicts
+    assert v.collides is (c >= 4.0)
+    assert (v.first_collision_t is not None) is v.collides
+    assert (v.x0 is not None) is v.collides
+
+
+@settings(max_examples=30)
+@given(cs=st.lists(st.floats(3.0, 5.0), min_size=2, max_size=6))
+def test_verdicts_are_monotone_in_c(cs):
+    exp = collision_threshold_experiment(cs)
+    assert exp.is_monotone
+    by_c = sorted(exp.verdicts, key=lambda v: v.c)
+    assert [v.collides for v in by_c] == sorted(v.collides for v in by_c)
+
+
+def test_verdict_fields_are_python_scalars():
+    # a grid of np.float64 must not leak np.bool_ or numpy floats into verdicts
+    for v in collision_threshold_experiment(np.array([3.5, 4.0, 4.5])).verdicts:
+        assert type(v.collides) is bool and type(v.c) is float
+        assert type(v.y_handoff) is float
+
+
+def test_handoff_state_explains_the_verdict():
+    (below, at, above) = collision_threshold_experiment([3.95, 4.0, 4.5]).verdicts
+    # y(t_h) sits under y+ = 2 at c = 4 and under (4.5 + sqrt(4.25))/2 at 4.5;
+    # at 3.95 it has no root to approach
+    assert at.collides and at.first_collision_t == 1.0 and 0.0 < at.y_handoff < 2.0
+    assert above.collides and above.y_handoff < 0.5 * (4.5 + math.sqrt(4.25))
+    assert not below.collides and below.first_collision_t is None
+    assert below.y_handoff is not None
+
+
+@settings(max_examples=25)
+@given(c=st.one_of(st.floats(3.5, 4.5), st.sampled_from((3.95, 3.999, 4.0, 4.0001))),
+       r=st.floats(0.3, 3.0))
+def test_scaled_lind_verdict_matches_the_oracle(c, r):
+    # Loewner scaling maps the point x0 of Lind(c) to r*x0 of Scaled(Lind(c), r)
+    # and leaves y = (x - lambda)/sqrt(T - t) unchanged
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(critical, "Lind", lambda c: Scaled(Lind(c), r))
+        patched.setattr(critical, "X0_OFFSET", r * X0_OFFSET)
+        (v,) = collision_threshold_experiment([c]).verdicts
+    assert v.collides is _oracle_collides(c)
+    if v.collides:
+        assert v.first_collision_t == pytest.approx(r * r, rel=1e-12)
 
 
 @settings(max_examples=40)

@@ -3,6 +3,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loewner import (Constant, DomainError, Lind, Sampled, Scaled, Sqrt,
                      load_sampled_csv, parse_term, write_sampled_csv)
@@ -93,6 +94,38 @@ def test_sampled_value_equals_the_reference_lookup(seed):
         assert term.value(t) == reference_sampled_value(term, t)
     # one interpolant: the array lookup is the scalar one the stepper uses
     assert term.values(probes).tolist() == [term.value(t) for t in probes]
+
+
+@st.composite
+def _sampled_and_probes(draw):
+    """A sampled term and times on its nodes, between nodes, at both ends and
+    inside the rounding slack beyond either end."""
+    steps = draw(st.lists(st.floats(1e-6, 5.0), min_size=1, max_size=30))
+    times = np.concatenate(([0.0], np.cumsum(steps)))
+    table = draw(st.lists(st.floats(-1e3, 1e3), min_size=times.size, max_size=times.size))
+    term = Sampled(times, table)
+    end = term.domain_end
+    slack = 1e-12 * max(1.0, end)  # driving._TIME_SLACK, scaled at the end as in value
+    probe = st.one_of(
+        st.integers(0, times.size - 1).map(lambda i: float(times[i])),
+        st.tuples(st.integers(0, times.size - 2), st.floats(0.0, 1.0)).map(
+            lambda p: float(times[p[0]] + p[1] * (times[p[0] + 1] - times[p[0]]))),
+        st.sampled_from((0.0, -0.0, end)),
+        st.floats(-1e-12, 0.0), st.floats(end, end + slack))
+    return term, draw(st.lists(probe, min_size=1, max_size=40))
+
+
+@settings(max_examples=200)
+@given(case=_sampled_and_probes())
+def test_sampled_values_equal_the_scalar_lookup(case):
+    term, probes = case
+    expected = [term.value(t) for t in probes]
+    assert term.values(probes).tolist() == expected
+    assert expected == [reference_sampled_value(term, t) for t in probes]
+    end = term.domain_end
+    for outside in (-2e-12, end + 2e-12 * max(1.0, end), math.nan):
+        with pytest.raises(DomainError):
+            term.values(probes + [outside])
 
 
 def test_sampled_validation():
