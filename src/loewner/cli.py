@@ -33,7 +33,10 @@ def parse_grid(spec: str) -> np.ndarray:
     if spec.startswith("lin:") or spec.startswith("log:"):
         kind, a, b, n = spec.split(":")
         a, b, n = float(a), float(b), int(n)
-        if n < 2 or not (math.isfinite(a) and math.isfinite(b) and b > a):
+        if not 2 <= n <= critical.MAX_GRID_NODES:
+            raise ValueError(f"bad grid spec {spec!r}: n must lie in "
+                             f"[2, {critical.MAX_GRID_NODES}]")
+        if not (math.isfinite(a) and math.isfinite(b) and b > a):
             raise ValueError(f"bad grid spec {spec!r}")
         return np.linspace(a, b, n) if kind == "lin" else np.geomspace(a, b, n)
     grid = [float(x) for x in spec.split(",")]
@@ -64,8 +67,8 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_singular(args) -> int:
-    if args.n < 2:
-        raise ValueError("--n must be >= 2")
+    if not 2 <= args.n <= critical.MAX_GRID_NODES:
+        raise ValueError(f"--n must lie in [2, {critical.MAX_GRID_NODES}]")
     if not _SINGULAR_GRID_FLOOR < args.t_end < math.inf:  # NaN fails too
         raise ValueError(f"--t-end must be finite and exceed the grid floor "
                          f"{_SINGULAR_GRID_FLOOR!r}")

@@ -38,6 +38,10 @@ class DrivingTerm:
     #: exact Lip(1/2) sup-norm when known in closed form, else None
     exact_half_norm: float | None = None
 
+    #: exponent p of the onset lambda(t) - lambda(0) ~ t**p at t = 0; below
+    #: 1/2 the upper singular solution is stiff there (see halfplane)
+    onset_exponent: float = 0.5
+
     def _raw(self, t: float) -> float:
         raise NotImplementedError
 
@@ -213,6 +217,7 @@ class Scaled(DrivingTerm):
         if base.domain_end is not None:
             self.domain_end = base.domain_end * self._r2
         self.exact_half_norm = base.exact_half_norm
+        self.onset_exponent = base.onset_exponent
 
     def _raw(self, t: float) -> float:
         return self.r * self.base.value(t / self._r2)

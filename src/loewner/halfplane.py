@@ -7,8 +7,20 @@ Interior points (Im z > 0) flow until they either survive to t_end or collide
 with the driving term (swallowing). Real points x != lambda(0) obey the same
 ODE on the line. The two singular solutions h-(t) <= lambda(t) <= h+(t) start
 at the singular point lambda(0) itself and bound the interval swallowed by
-time t; they behave like lambda(0) +- A*sqrt(t) near 0 and are computed by a
-square-root ansatz handoff into the adaptive integrator.
+time t; for a Lip(1/2) term they behave like lambda(0) +- A*sqrt(t) near 0
+and are computed by a square-root ansatz handoff into the adaptive integrator.
+
+A term whose onset lambda(t) - lambda(0) ~ t**p has p < 1/2
+(``DrivingTerm.onset_exponent``; 1/3 for the tangent circular slit) makes
+the upper solution stiff at 0: there h+ - lambda ~ t**(1 - p) while lambda
+moves like t**p, so the relaxation rate 2/(h+ - lambda)**2 grows like
+t**(2p - 2) (0.62 t**(-4/3) for the tangent slit) and holds an explicit
+stepper at its stability limit. That branch, started at t = 0, is integrated
+by ``integrate.solve_singular_branch``: implicit SDIRK steps in the
+self-similar variables tau = log t, Y = (h - lambda(0))/t**p, each stage a
+quadratic solved in closed form. The lower solution moves away from lambda
+like t**p and is not stiff, so it, every p = 1/2 term and every restart at
+t_start > 0 keep the explicit path.
 """
 
 from __future__ import annotations
@@ -129,6 +141,15 @@ def _sqrt_ansatz(term: DrivingTerm, t_start: float, sign: int, dt: float) -> flo
 
 def _singular(term: DrivingTerm, sign: int, t_start: float, t_end: float, tol: float,
               capture=None) -> Trajectory:
+    """Singular solution on the side ``sign`` started at (t_start, lambda(t_start)).
+
+    The stiff branch (h+ from t_start = 0 of a term with onset exponent
+    p < 1/2) goes to ``integrate.solve_singular_branch``, which starts from
+    the square-root ansatz at ``integrate.SEED_FRACTION`` of the first
+    capture time (or of t_end) and lands on the capture times. Every other
+    branch is seeded by the ansatz at dt_seed / _SEED_REFINEMENT, integrated
+    up to the handoff time dt_seed and then to t_end by ``solve_scalar``.
+    """
     term.check_covers(t_end)
     if t_end < t_start:
         raise DomainError("t_end must be >= the start time of the singular solution")
@@ -136,17 +157,22 @@ def _singular(term: DrivingTerm, sign: int, t_start: float, t_end: float, tol: f
     if t_end == t_start:
         return Trajectory(np.array([t_start]), np.array([lam_start]))
 
-    span = t_end - t_start
     cap = np.asarray([] if capture is None else capture, dtype=float)
+    if sign > 0 and t_start == 0.0 and term.onset_exponent < 0.5:
+        res = integrate.solve_singular_branch(term.value, term.onset_exponent, t_end,
+                                              tol=tol, capture=cap)
+        return Trajectory(np.concatenate(([0.0], res.times)),
+                          np.concatenate(([lam_start], res.values)))
+
+    span = t_end - t_start
     cap_rel = cap[cap > t_start] - t_start
     dt_seed = min(BOOTSTRAP_T0, span / 4.0)
     if cap_rel.size:
         dt_seed = min(dt_seed, float(cap_rel.min()) / 4.0)
     dt_fine = dt_seed / _SEED_REFINEMENT
 
-    # seed early and integrate up to the handoff time; for steep terms
-    # (e.g. Lip(1/3) driving) the relaxation rate 2/gap**2 outruns the step
-    # floor near 0, in which case the direct ansatz at the handoff is used
+    # seed early and integrate up to the handoff time; when that solve fails,
+    # the direct ansatz at the handoff is used
     y_fine = _sqrt_ansatz(term, t_start, sign, dt_fine)
     try:
         res0 = solve_scalar(_rhs, term.value, t_start + dt_fine, y_fine,

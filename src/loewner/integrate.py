@@ -37,6 +37,12 @@ from an array (say ``cap[i]``) would spread through ``h``, ``t``, ``y`` and
 every stage time into ``lam`` and ``rhs``, and numpy scalar arithmetic costs
 about twice as much per operation. Real results are the same IEEE operations
 either way.
+
+``solve_singular_branch`` is a second, implicit stepper for one equation: the
+upper singular solution of the half-plane flow under a driving term whose
+onset exponent is below 1/2, which is stiff at t = 0 (see its docstring).
+Both steppers reject a tolerance that is not finite and positive before the
+first step.
 """
 
 from __future__ import annotations
@@ -73,6 +79,24 @@ _A = (
 _E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
       -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
+# Hairer-Wanner SDIRK4 (Solving ODEs II, (IV.6.16)): diagonal gamma = 1/4,
+# stiffly accurate (the last stage is the step's result), L-stable, with an
+# embedded order-3 solution; _SD_E is the difference of the two weight rows.
+# The fifth stage sits at the step's end (c5 = 1) and its row is the weights
+_SD_GAMMA = 0.25
+_SD_C = (0.25, 0.75, 11.0 / 20.0, 0.5)
+_SD_A = (
+    (0.5,),
+    (17.0 / 50.0, -1.0 / 25.0),
+    (371.0 / 1360.0, -137.0 / 2720.0, 15.0 / 544.0),
+    (25.0 / 24.0, -49.0 / 48.0, 125.0 / 16.0, -85.0 / 12.0),
+)
+_SD_E = (-3.0 / 16.0, -27.0 / 32.0, 25.0 / 32.0, 0.0, 0.25)
+
+#: the stiff singular branch starts from the square-root ansatz at this
+#: fraction of the first capture time (or of t_end)
+SEED_FRACTION = 1e-12
+
 
 @dataclass
 class OdeResult:
@@ -104,6 +128,7 @@ def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
     record : bool
         When False only the initial and final samples are kept (fast scans).
     """
+    _check_tol(tol)
     h_floor = H_FLOOR
     max_steps = MAX_STEPS
     delta = COLLISION_DELTA
@@ -195,6 +220,129 @@ def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
         times.append(t)
         values.append(y)
     return _result(times, values, swallowed_at=None, n_steps=n_steps)
+
+
+def solve_singular_branch(lam, p: float, t_end: float, *, tol: float,
+                          capture) -> OdeResult:
+    """Upper singular solution of dh/dt = 2 / (h - lam(t)) with h(0) = lam(0),
+    for a driving term with onset exponent p < 1/2 (lam(t) - lam(0) ~ t**p).
+
+    The gap h - lam then shrinks like t**(1 - p), and the relaxation rate
+    2/gap**2 outgrows every explicit step as t -> 0: the branch is stiff. It
+    is integrated in the self-similar variables tau = log t and
+    Y = (h - lam(0)) / t**p, where
+
+        dY/dtau = 2 t**(1 - 2p) / (Y - L) - p*Y,   L = (lam(t) - lam(0)) / t**p,
+
+    by the L-stable SDIRK4 above. Each stage Y_i = B_i + gamma*dtau*f(Y_i)
+    is a quadratic in the stage gap g = Y_i - L_i,
+
+        q g**2 + (q L_i - B_i) g - 2 gamma dtau t_i**(1 - 2p) = 0,
+        q = 1 + gamma dtau p,
+
+    whose positive root (h stays above lam) is taken in closed form: no
+    Newton iteration and no Jacobian. The error estimate is filtered by
+    1/(1 - gamma dtau J), J = df/dY = -2 t**(1 - 2p)/g**2 - p, and measured
+    in h against tol*(1 + |h|) as in solve_scalar. The solve starts from the
+    square-root ansatz at t_s = SEED_FRACTION times the first capture time
+    (or t_end); the branch is super-attracting, so the start error decays
+    like exp(-C t_s**(2p - 1)). ``lam`` is called once per stage time, and
+    the stepper lands exactly on the capture times in (0, t_end].
+    """
+    _check_tol(tol)
+    p = float(p)
+    t_end = float(t_end)
+    if not 0.0 < p < 0.5:
+        raise ValueError(f"onset exponent p={p!r} is not in (0, 1/2)")
+    if not 0.0 < t_end < math.inf:  # NaN fails too
+        raise ValueError("t_end must be finite and > 0")
+    cap = np.unique(np.asarray([] if capture is None else capture, dtype=float))
+    cap = cap[(cap > 0.0) & (cap <= t_end)].tolist()
+    n_cap = len(cap)
+    icap = 0
+    max_steps = MAX_STEPS
+    gamma = _SD_GAMMA
+    c1, c2, c3, c4 = _SD_C
+    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54)) = _SD_A
+    e1, e2, e3, _, e5 = _SD_E
+    lam0 = lam(0.0)
+
+    def stage(t_i, b_i, gdt, q):
+        """Stage value Y_i, slope k_i, gap g_i and t_i**p of one implicit stage."""
+        tp_i = t_i ** p
+        big_l = (lam(t_i) - lam0) / tp_i
+        c = 2.0 * gdt * t_i / (tp_i * tp_i)
+        lin = q * big_l - b_i
+        root = math.sqrt(lin * lin + 4.0 * q * c)
+        g_i = 2.0 * c / (lin + root) if lin >= 0.0 else (root - lin) / (2.0 * q)
+        y_i = big_l + g_i
+        return y_i, (y_i - b_i) / gdt, g_i, tp_i
+
+    # square-root ansatz h = lam0 + d/2 + sqrt(d**2/4 + 4 t), d = lam(t) - lam0
+    t = SEED_FRACTION * (cap[0] if n_cap else t_end)
+    if t == 0.0:
+        raise IntegrationError("seed time underflows to 0", t, lam0)
+    tp = t ** p
+    d = lam(t) - lam0
+    root = math.sqrt(0.25 * d * d + 4.0 * t)
+    gap = 4.0 * t / (0.5 * d + root) if d >= 0.0 else root - 0.5 * d
+    g = gap / tp
+    y = d / tp + g
+    h = lam0 + d + gap
+    times = [t]
+    values = [h]
+
+    dtau_prop = 0.1
+    n_steps = 0
+    while t < t_end:
+        if n_steps >= max_steps:
+            raise IntegrationError("step budget exhausted", t, h)
+        dtau = dtau_prop
+        target = cap[icap] if icap < n_cap else t_end
+        t_new = t * math.exp(dtau)
+        capped = t_new >= target
+        if capped:
+            t_new = target
+            dtau = math.log(target / t)
+        if not t_new > t:
+            raise IntegrationError("step size underflow", t, h)
+        gdt = gamma * dtau
+        q = 1.0 + gdt * p
+
+        _, k1, _, _ = stage(t * math.exp(c1 * dtau), y, gdt, q)
+        _, k2, _, _ = stage(t * math.exp(c2 * dtau), y + dtau * (a21 * k1), gdt, q)
+        _, k3, _, _ = stage(t * math.exp(c3 * dtau), y + dtau * (a31 * k1 + a32 * k2),
+                            gdt, q)
+        _, k4, _, _ = stage(t * math.exp(c4 * dtau),
+                            y + dtau * (a41 * k1 + a42 * k2 + a43 * k3), gdt, q)
+        y_new, k5, g_new, tp_new = stage(
+            t_new, y + dtau * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4), gdt, q)
+        h_new = lam0 + tp_new * y_new
+        # 1 - gamma dtau J at the step's start, J = -2 t**(1 - 2p)/g**2 - p
+        filt = 1.0 + gdt * (2.0 * (t / (tp * tp)) / (g * g) + p)
+        err = tp_new * dtau * (e1 * k1 + e2 * k2 + e3 * k3 + e5 * k5) / filt
+        err_norm = abs(err) / (tol + tol * max(abs(h), abs(h_new)))
+        n_steps += 1
+
+        if err_norm > 1.0 or not math.isfinite(err_norm):
+            dtau_prop = (dtau * max(0.1, 0.9 * err_norm ** -0.25)
+                         if math.isfinite(err_norm) else dtau * 0.1)
+            continue
+
+        t, tp, y, g, h = t_new, tp_new, y_new, g_new, h_new
+        if icap < n_cap and t >= cap[icap]:
+            icap += 1
+        times.append(t)
+        values.append(h)
+        if not capped:
+            dtau_prop = dtau * (5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm ** -0.25))
+
+    return _result(times, values, swallowed_at=None, n_steps=n_steps)
+
+
+def _check_tol(tol) -> None:
+    if not 0.0 < tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
 
 
 def _result(times, values, swallowed_at, n_steps) -> OdeResult:

@@ -141,6 +141,8 @@ class TangentTerm(DrivingTerm):
     lambda(0) = 0 and lambda is Lip(1/3) at 0; defined on [0, T_MAX_DEFAULT * r**2].
     """
 
+    onset_exponent = 1.0 / 3.0
+
     def __init__(self, radius: float = 1.0):
         if not 0 < radius < math.inf:  # NaN fails too
             raise ValueError("radius must be positive and finite")

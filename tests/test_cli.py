@@ -1,14 +1,16 @@
 import cmath
 import json
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from loewner.cli import main, parse_grid
-from loewner.critical import MAX_Y_ZEROS
-from loewner.repro import SHARP_RATIO_RTOL
+from loewner.critical import MAX_GRID_NODES, MAX_Y_ZEROS
+from loewner.repro import SHARP_RATIO_RTOL, SINGULAR_MATCH_RTOL
+from loewner.tangent import solve_params
 
 
 def test_parse_grid_forms():
@@ -60,6 +62,19 @@ def test_singular_rows_at_tiny_t_end_are_the_captured_samples(tmp_path):
     root = math.sqrt(17.0)
     for h, a in ((h_minus, 0.5 * (1.0 - root)), (h_plus, 0.5 * (1.0 + root))):
         assert np.max(np.abs(h / (a * np.sqrt(t)) - 1.0)) <= SHARP_RATIO_RTOL
+
+
+def test_singular_tangent_example_matches_the_prevertices(tmp_path):
+    # the Lip(1/3) term makes h+ stiff at t = 0; every row of the default log
+    # grid from 1e-10 on must match alpha and beta
+    out = tmp_path / "x.csv"
+    assert main(["singular", "--term", "tangent:1", "--t-end", "0.01", "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (200, 4)
+    for t, h_minus, h_plus, _ in rows:
+        p = solve_params(t)
+        assert abs(h_minus / p.alpha - 1.0) <= SINGULAR_MATCH_RTOL
+        assert abs(h_plus / p.beta - 1.0) <= SINGULAR_MATCH_RTOL
 
 
 def test_tangent_csv(tmp_path):
@@ -177,6 +192,36 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for grid in ("lin:0.1:inf:3", "log:0.1:inf:3", "lin:-inf:1:3", "0.1,nan", "0.1,inf,0.2"):
         assert main(["trace", "--term", "sqrt:1", "--t-grid", grid,
                      "--out", str(tmp_path / "t.csv")]) == 2
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-10", "nan", "inf"])
+def test_bad_tolerance_exits_two(tol, tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    for args in (["evolve", "--geometry", "halfplane", "--term", "lind:4", "--start", "2",
+                  "--t-end", "0.5"],
+                 ["singular", "--term", "tangent:1", "--t-end", "0.01"],
+                 ["trace", "--term", "tangent:1", "--t-grid", "0.01"],
+                 ["convert", "--direction", "h2d", "--term", "lind:4", "--start", "2",
+                  "--t-grid", "lin:0:0.5:10"]):
+        assert main(args + [f"--tol={tol}", "--out", out]) == 2
+        assert "tol must be finite and > 0" in capsys.readouterr().err
+
+
+def test_grid_sizes_are_capped_before_any_array_is_built(tmp_path, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid array was built")
+
+    monkeypatch.setattr(np, "geomspace", no_grid)
+    monkeypatch.setattr(np, "linspace", no_grid)
+    out = str(tmp_path / "x.csv")
+    start = time.perf_counter()
+    # 10**9 nodes of a geomspace would take 8 GB
+    assert main(["singular", "--term", "sqrt:1", "--t-end", "1", "--n", str(10**9),
+                 "--out", out]) == 2
+    for kind in ("lin", "log"):
+        assert main(["trace", "--term", "sqrt:1", "--t-grid",
+                     f"{kind}:0.1:1:{MAX_GRID_NODES + 1}", "--out", out]) == 2
+    assert time.perf_counter() - start < 5.0
 
 
 def test_computational_failure_exits_one(tmp_path, capsys):

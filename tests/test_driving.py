@@ -59,6 +59,13 @@ def test_scale_and_radius_must_be_positive_and_finite(r):
         TangentTerm(r)
 
 
+def test_onset_exponent_is_a_fact_of_the_term():
+    for term in (Constant(1.0), Sqrt(2.0), Lind(4.0), Scaled(Lind(4.0), 2.0)):
+        assert term.onset_exponent == 0.5
+    assert TangentTerm(2.0).onset_exponent == 1.0 / 3.0
+    assert Scaled(TangentTerm(1.0), 0.5).onset_exponent == 1.0 / 3.0
+
+
 def test_sampled_interpolates_linearly():
     term = Sampled([0.0, 1.0, 2.0], [0.0, 2.0, 2.0])
     assert term.value(0.5) == pytest.approx(1.0)

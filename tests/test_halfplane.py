@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loewner import (Constant, DomainError, FromCallable, IntegrationError, Lind, LoewnerError,
                      Scaled, Sqrt)
@@ -10,6 +11,8 @@ from loewner import halfplane, integrate
 from loewner.halfplane import (RatioDiagnostic, evolve_boundary, evolve_interior,
                                ratio_limsup_check, sharp_ratio_bound, singular_minus,
                                singular_plus, swallowed_interval)
+from loewner.repro import SINGULAR_MATCH_RTOL
+from loewner.tangent import T_MAX_DEFAULT, TangentTerm, solve_params
 
 
 def closed_form_h(z, t):
@@ -202,6 +205,36 @@ def singular_family(term, tau_grid, t_end: float, tol: float = 1e-10):
                 raise LoewnerError(
                     f"singular family pairs are not nested at t={t!r}")
     return pairs
+
+
+@settings(max_examples=40)
+@given(r=st.floats(0.3, 3.0), e=st.floats(-9.0, 0.0))
+def test_tangent_singular_pair_is_covariant_under_loewner_scaling(r, e):
+    # TangentTerm(r) is the r-scaled tangent slit, so its singular pair is
+    # r * (alpha, beta)(t / r**2); h+ runs through the stiff layer, h- does not.
+    # t = 10**e of the domain end; below about 2e-13 the explicit h- seed
+    # misses alpha by more than the tolerance
+    term = TangentTerm(r)
+    t = min(term.domain_end * 10.0 ** e, term.domain_end)
+    p = solve_params(min(t / r**2, T_MAX_DEFAULT))  # may overshoot by an ulp
+    plus = float(singular_plus(term, t, capture=[t]).final_value)
+    minus = float(singular_minus(term, t, capture=[t]).final_value)
+    assert abs(plus / (r * p.beta) - 1.0) <= SINGULAR_MATCH_RTOL
+    assert abs(minus / (r * p.alpha) - 1.0) <= SINGULAR_MATCH_RTOL
+
+
+def test_only_the_upper_singular_solution_of_a_steep_term_is_stiff(monkeypatch):
+    calls = []
+    stiff = integrate.solve_singular_branch
+    monkeypatch.setattr(integrate, "solve_singular_branch",
+                        lambda lam, p, *a, **k: calls.append(p) or stiff(lam, p, *a, **k))
+    for term in (TangentTerm(1.0), Scaled(TangentTerm(1.0), 2.0)):
+        singular_plus(term, 0.01)
+        singular_minus(term, 0.01)
+        halfplane._singular(term, +1, 0.005, 0.01, 1e-10)  # a restart: smooth there
+    for term in (Sqrt(1.0), Lind(4.0), Constant(0.0)):
+        singular_plus(term, 0.5)
+    assert calls == [1.0 / 3.0, 1.0 / 3.0]
 
 
 def test_singular_family_restart_and_nesting():

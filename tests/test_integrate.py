@@ -6,7 +6,13 @@ import pytest
 from loewner import integrate
 from loewner.driving import Lind
 from loewner.errors import IntegrationError
-from loewner.integrate import solve_scalar
+from loewner.integrate import solve_scalar, solve_singular_branch
+from loewner.tangent import TangentTerm, solve_params
+
+#: steps (accepted and rejected) the stiff branch of TangentTerm(1) took to
+#: the end of its domain, t = 0.05, when the SDIRK stepper was introduced;
+#: the explicit seed-and-solve path it replaced took about 3900
+SINGULAR_BRANCH_STEPS = 430
 
 
 def no_lam(t):
@@ -141,3 +147,65 @@ def test_record_false_keeps_endpoints_only():
     assert len(res.times) == 2
     assert res.values[-1] == pytest.approx(math.exp(-2.0), rel=1e-8)
 
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_bad_tolerance_is_rejected_before_the_first_step(tol):
+    calls = []
+
+    def lam(t):
+        calls.append(t)
+        return 0.0
+
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        solve_scalar(lambda y, l: -y, lam, 0.0, 1.0, 1.0, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        solve_singular_branch(lam, 1.0 / 3.0, 1.0, tol=tol, capture=None)
+    assert calls == []
+
+
+def test_singular_branch_matches_the_tangent_prevertex():
+    # h+ = beta(t) for the tangent slit, from the seed at 1e-12 * 1e-9 up
+    term = TangentTerm(1.0)
+    cap = [1e-9, 1e-6, 1e-3, 0.01, 0.05]
+    res = solve_singular_branch(term.value, term.onset_exponent, 0.05, tol=1e-10,
+                                capture=np.array(cap))
+    assert res.times[0] == integrate.SEED_FRACTION * cap[0]
+    for t in cap:
+        i = np.searchsorted(res.times, t)
+        assert res.times[i] == t
+        assert res.values[i] / solve_params(t).beta == pytest.approx(1.0, rel=1e-6)
+    assert res.values[-1] / solve_params(0.05).beta == pytest.approx(1.0, rel=1e-9)
+
+
+def test_singular_branch_calls_lam_once_per_stage_time():
+    # lam(0), the seed time, then one value for each of the five stages
+    term = TangentTerm(1.0)
+    seen = []
+
+    def lam(t):
+        seen.append(t)
+        return term.value(t)
+
+    res = solve_singular_branch(lam, term.onset_exponent, 0.01, tol=1e-10, capture=None)
+    assert len(seen) == 5 * res.n_steps + 2
+    assert {type(t) for t in seen} == {float}
+
+
+def test_singular_branch_step_count_is_guarded():
+    term = TangentTerm(1.0)
+    res = solve_singular_branch(term.value, term.onset_exponent, 0.05, tol=1e-10,
+                                capture=None)
+    assert res.n_steps <= 2 * SINGULAR_BRANCH_STEPS
+
+
+def test_singular_branch_rejects_what_it_cannot_solve():
+    lam = TangentTerm(1.0).value
+    for p in (0.0, 0.5, math.nan):
+        with pytest.raises(ValueError, match="onset exponent"):
+            solve_singular_branch(lam, p, 0.01, tol=1e-10, capture=None)
+    for t_end in (0.0, math.nan):
+        with pytest.raises(ValueError, match="t_end"):
+            solve_singular_branch(lam, 1.0 / 3.0, t_end, tol=1e-10, capture=None)
+    # a seed time of 1e-12 * 5e-324 is 0, where Y = (h - lam(0)) / t**p is undefined
+    with pytest.raises(IntegrationError, match="seed time underflows"):
+        solve_singular_branch(lam, 1.0 / 3.0, 5e-324, tol=1e-10, capture=None)
