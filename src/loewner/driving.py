@@ -54,8 +54,30 @@ class DrivingTerm:
         return self._raw(self._clip_time(t))
 
     def values(self, ts) -> np.ndarray:
-        """Evaluate on an array of times."""
-        return np.array([self.value(t) for t in np.asarray(ts, dtype=float).ravel()])
+        """Evaluate on an array of times: ``value`` for each, bit for bit.
+
+        Times that miss the domain by rounding only are clamped onto it as in
+        ``value``; any other time raises DomainError. The clamped times go to
+        ``_raw_values``, which the closed-form families implement with their
+        ``_raw`` expression on arrays (numpy's sqrt and arithmetic are the
+        same correctly rounded IEEE operations as ``math``'s).
+        """
+        t = np.asarray(ts, dtype=float).ravel()
+        end = self.domain_end
+        inside = t >= -_TIME_SLACK
+        if end is not None:
+            inside &= t <= end + _TIME_SLACK * max(1.0, end)
+        if not inside.all():
+            self._clip_time(float(t[np.argmin(inside)]))  # raises DomainError
+        t = np.where(t < 0.0, 0.0, t)
+        if end is not None:
+            t = np.where(t > end, end, t)
+        return self._raw_values(t)
+
+    def _raw_values(self, t: np.ndarray) -> np.ndarray:
+        """``_raw`` on a 1-d array of times inside the domain; one call per
+        time unless a subclass has an array kernel."""
+        return np.array([self._raw(x) for x in t.tolist()], dtype=float)
 
     def check_covers(self, t_end: float) -> None:
         """Raise DomainError unless the term is defined on all of [0, t_end]."""
@@ -94,10 +116,13 @@ class Constant(DrivingTerm):
     exact_half_norm = 0.0
 
     def __init__(self, c: float):
-        self.c = float(c)
+        self.c = _finite(c)
 
     def _raw(self, t: float) -> float:
         return self.c
+
+    def _raw_values(self, t: np.ndarray) -> np.ndarray:
+        return np.full(t.shape, self.c)
 
     def spec_string(self) -> str:
         return f"constant:{self.c!r}"
@@ -107,11 +132,14 @@ class Sqrt(DrivingTerm):
     """lambda(t) = c * sqrt(t), the self-similar family with ||lambda||_{1/2} = |c|."""
 
     def __init__(self, c: float):
-        self.c = float(c)
+        self.c = _finite(c)
         self.exact_half_norm = abs(self.c)
 
     def _raw(self, t: float) -> float:
         return self.c * math.sqrt(t)
+
+    def _raw_values(self, t: np.ndarray) -> np.ndarray:
+        return self.c * np.sqrt(t)
 
     def spec_string(self) -> str:
         return f"sqrt:{self.c!r}"
@@ -127,11 +155,14 @@ class Lind(DrivingTerm):
     domain_end = 1.0
 
     def __init__(self, c: float):
-        self.c = float(c)
+        self.c = _finite(c)
         self.exact_half_norm = abs(self.c)
 
     def _raw(self, t: float) -> float:
         return self.c - self.c * math.sqrt(1.0 - t)
+
+    def _raw_values(self, t: np.ndarray) -> np.ndarray:
+        return self.c - self.c * np.sqrt(1.0 - t)
 
     def spec_string(self) -> str:
         return f"lind:{self.c!r}"
@@ -178,15 +209,8 @@ class Sampled(DrivingTerm):
         v0, v1 = vs[i - 1], vs[i]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
-    def values(self, ts) -> np.ndarray:
-        """Evaluate on an array of times: ``value`` for each, in one
-        searchsorted and one interpolation expression."""
-        t = np.asarray(ts, dtype=float).ravel()
-        end = self.domain_end
-        inside = (t >= -_TIME_SLACK) & (t <= end + _TIME_SLACK * max(1.0, end))
-        if not inside.all():
-            self._clip_time(float(t[np.argmin(inside)]))  # raises DomainError
-        t = np.where(t < 0.0, 0.0, np.where(t > end, end, t))
+    def _raw_values(self, t: np.ndarray) -> np.ndarray:
+        # _raw in one searchsorted and one interpolation expression
         nodes, vs = self.times, self.table_values
         i = np.searchsorted(nodes, t, side="right")
         j = np.minimum(i, nodes.size - 1)
@@ -222,6 +246,9 @@ class Scaled(DrivingTerm):
     def _raw(self, t: float) -> float:
         return self.r * self.base.value(t / self._r2)
 
+    def _raw_values(self, t: np.ndarray) -> np.ndarray:
+        return self.r * self.base.values(t / self._r2)
+
 
 class FromCallable(DrivingTerm):
     """Term backed by an arbitrary callable, for analytic terms built on the fly."""
@@ -252,6 +279,15 @@ def parse_term(spec: str) -> DrivingTerm:
     if kind == "file":
         return load_sampled_csv(arg)
     raise ValueError(f"unknown term kind {kind!r} in {spec!r}")
+
+
+def _finite(c) -> float:
+    """A family parameter as a float; NaN and infinities make every value
+    non-finite and the stepper fail far from the cause."""
+    c = float(c)
+    if not math.isfinite(c):
+        raise ValueError(f"term parameter c={c!r} is not finite")
+    return c
 
 
 def _parse_float(arg: str, spec: str) -> float:

@@ -96,7 +96,7 @@ def _evolve(term: DrivingTerm, y0, t_end: float, tol: float, capture=None,
         raise ValueError(f"start point {y0!r} is not finite")
     term.check_covers(t_end)
     res = solve_scalar(_rhs, term.value, 0.0, y0, t_end, tol=tol, gap=_gap,
-                       capture=capture, record=record)
+                       capture=capture, record=record, lam_values=term.values)
     return Trajectory(res.times, res.values.astype(type(y0)), res.swallowed_at)
 
 
@@ -192,7 +192,7 @@ def _singular(term: DrivingTerm, sign: int, t_start: float, t_end: float, tol: f
             f"(relative gap mismatch {abs(gap_seed - gap_ansatz) / gap_ansatz:.2f})")
 
     res = solve_scalar(_rhs, term.value, t_start + dt_seed, y_seed, t_end, tol=tol,
-                       capture=cap)
+                       capture=cap, lam_values=term.values)
     times = np.concatenate(([t_start], res.times))
     values = np.concatenate(([lam_start], res.values.astype(float)))
     return Trajectory(times, values)

@@ -16,8 +16,25 @@ driving term lam(t) apart and calls ``lam`` once per stage time:
 
 Each real-number operation is the same IEEE operation on the same operands as
 in an f(t, y) stepper whose f evaluates lambda itself, so results are
-bit-identical; only the repeated evaluations are gone. Two further features
-are tailored to Loewner dynamics:
+bit-identical; only the repeated evaluations are gone.
+
+A solve that lands on dense capture times takes one capped step per capture
+interval, and each such step starts on the previous capture time (or t0) and
+ends on the next one. Its stage times are then known before the solve, so
+given ``lam_values``, the vectorized form of ``lam``, the stepper reads the
+six driving values of such a step (stages 2-5, t + h and the target) from a
+table row; stage 7 takes the target's value, which is stage 6's whenever the
+two times agree. Rows are filled in blocks of ``_BLOCK_ROWS`` capture
+intervals by one ``lam_values`` call each, the first time a step needs a row
+the current block lacks, so the table's memory is bounded whatever the number
+of captures. The block's stage times are the stepper's own IEEE operations
+(t + c*h and t + h with h = target - t), ``lam_values`` returns ``lam`` of
+each time bit for bit, and ``tolist`` hands them over as Python floats, so
+results do not change. Every other step, including uncapped steps, capped steps that
+start between captures and the retries of rejected steps, and the collision
+refinement call ``lam`` per stage time.
+
+Two further features are tailored to Loewner dynamics:
 
 * collision detection: after each accepted step an optional gap function is
   checked against ``COLLISION_DELTA``; on crossing, the contact time is
@@ -79,6 +96,10 @@ _A = (
 _E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
       -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
+# rows of driving values per block of capped steps (bounds the table's memory)
+_BLOCK_ROWS = 256
+_STAGE_C = np.array(_C[:4])
+
 # Hairer-Wanner SDIRK4 (Solving ODEs II, (IV.6.16)): diagonal gamma = 1/4,
 # stiffly accurate (the last stage is the step's result), L-stable, with an
 # embedded order-3 solution; _SD_E is the difference of the two weight rows.
@@ -107,7 +128,8 @@ class OdeResult:
 
 
 def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
-                 gap=None, capture=None, record: bool = True) -> OdeResult:
+                 gap=None, capture=None, record: bool = True,
+                 lam_values=None) -> OdeResult:
     """Integrate dy/dt = rhs(y, lam(t)) from (t0, y0) to t_end.
 
     Parameters
@@ -127,6 +149,11 @@ def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
         Times in (t0, t_end] the stepper lands on exactly.
     record : bool
         When False only the initial and final samples are kept (fast scans).
+    lam_values : callable or None
+        The vectorized form of ``lam``: lam_values(ts) -> ndarray of
+        lam(t) for each t, bit for bit. With capture times, a capped step
+        that starts on the previous capture time (or t0) takes its driving
+        values from the block table it fills (see the module docstring).
     """
     _check_tol(tol)
     h_floor = H_FLOOR
@@ -143,7 +170,14 @@ def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
         raise ValueError("t_end must be >= t0")
 
     cap = np.unique(np.asarray([] if capture is None else capture, dtype=float))
-    cap = cap[(cap > t) & (cap <= t_end)].tolist()
+    cap = cap[(cap > t) & (cap <= t_end)]
+    # capped step icap runs from edges[icap] (the previous capture, or t0) to
+    # edges[icap + 1]; its driving values are row icap - row0 of ``block``
+    edges = np.concatenate(([t], cap, [t_end])) if lam_values is not None and cap.size else None
+    block = None
+    row0 = row1 = 0
+    t_first = t
+    cap = cap.tolist()
     n_cap = len(cap)
     icap = 0
 
@@ -174,18 +208,33 @@ def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
             h = target - t
         floored = h <= h_floor
 
-        k2 = rhs(y + h * (a21 * k1), lam(t + c2 * h))
-        k3 = rhs(y + h * (a31 * k1 + a32 * k2), lam(t + c3 * h))
-        k4 = rhs(y + h * (a41 * k1 + a42 * k2 + a43 * k3), lam(t + c4 * h))
-        k5 = rhs(y + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4), lam(t + c5 * h))
         # c6 = c7 = 1: stage 6 sits at t + h, and so does stage 7 unless a
         # capped step's target differs from t + h by rounding
-        t_h = t + h
-        l6 = lam(t_h)
-        k6 = rhs(y + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5), l6)
-        y_new = y + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
-        t_new = target if capped else t_h
-        l7 = l6 if t_new == t_h else lam(t_new)
+        if capped and edges is not None and t == (cap[icap - 1] if icap else t_first):
+            if not row0 <= icap < row1:
+                row0, row1 = icap, icap + _BLOCK_ROWS
+                block = _stage_block(lam_values, edges[row0:row1 + 1])
+            l2, l3, l4, l5, l6, l7 = block[icap - row0]
+            k2 = rhs(y + h * (a21 * k1), l2)
+            k3 = rhs(y + h * (a31 * k1 + a32 * k2), l3)
+            k4 = rhs(y + h * (a41 * k1 + a42 * k2 + a43 * k3), l4)
+            k5 = rhs(y + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4), l5)
+            k6 = rhs(y + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5), l6)
+            y_new = y + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+            t_new = target
+        else:
+            # the stages repeat the lines above with each lam call inline:
+            # held in locals first, they cost uncapped solves about 2%
+            k2 = rhs(y + h * (a21 * k1), lam(t + c2 * h))
+            k3 = rhs(y + h * (a31 * k1 + a32 * k2), lam(t + c3 * h))
+            k4 = rhs(y + h * (a41 * k1 + a42 * k2 + a43 * k3), lam(t + c4 * h))
+            k5 = rhs(y + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4), lam(t + c5 * h))
+            t_h = t + h
+            l6 = lam(t_h)
+            k6 = rhs(y + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5), l6)
+            y_new = y + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+            t_new = target if capped else t_h
+            l7 = l6 if t_new == t_h else lam(t_new)
         k7 = rhs(y_new, l7)
         err = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
         err_norm = abs(err) / (tol + tol * max(abs(y), abs(y_new)))
@@ -338,6 +387,17 @@ def solve_singular_branch(lam, p: float, t_end: float, *, tol: float,
             dtau_prop = dtau * (5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm ** -0.25))
 
     return _result(times, values, swallowed_at=None, n_steps=n_steps)
+
+
+def _stage_block(lam_values, edges: np.ndarray) -> list[list[float]]:
+    """Driving values of the capped steps from each edge to the next, one row
+    per step: stages 2-5, t + h and the target. The stage times are the
+    stepper's own IEEE operations (t + c*h and t + h with h = target - t)."""
+    st = edges[:-1, None]
+    en = edges[1:, None]
+    h = en - st
+    ts = np.concatenate((st + _STAGE_C * h, st + h, en), axis=1)
+    return lam_values(ts.ravel()).reshape(ts.shape).tolist()
 
 
 def _check_tol(tol) -> None:

@@ -1,9 +1,14 @@
-"""Bit-level regression pins: results of the four solve paths, as float.hex.
+"""Bit-level regression pins: results of the solve paths, as float.hex or as
+the sha256 of whole capture-bound trajectories.
 
 A speed change to the stepper, the flows or the driving terms must keep every
 real-number operation the same IEEE operation on the same operands; these pins
-fail on any drift in the last bit. The values were recorded before the
-stepper took its right-hand side as a function of (y, lambda), except two:
+fail on any drift in the last bit. The three trajectory digests (the Lind(4)
+bridge's half-plane and disk flows and the Sqrt(2) singular pair, each
+landing on 3000 capture times) were recorded before capped steps took their
+driving values from the stepper's block table. The other values were
+recorded before the stepper took its right-hand side as a function of
+(y, lambda), except two:
 the threshold experiment's handoff state y(t_h), recorded when its solve first
 stopped at the terminal layer (a plain solve to t_h with the earlier stepper
 gives the same bits), and the tangent slit's h+(0.01), re-recorded when that
@@ -13,10 +18,16 @@ to beta(0.01) within 1e-9; the old path's value was 9.3e-11 off, the new one
 is 4.2e-11 off.
 """
 
+import hashlib
+
+import numpy as np
+import pytest
+
+from loewner.bridge import halfplane_to_disk
 from loewner.critical import collision_threshold_experiment
 from loewner.disk import evolve_disk_boundary
-from loewner.driving import Lind, Sampled
-from loewner.halfplane import evolve_boundary, singular_plus
+from loewner.driving import Lind, Sampled, Scaled, Sqrt
+from loewner.halfplane import evolve_boundary, singular_minus, singular_plus
 from loewner.tangent import TangentTerm, solve_params
 from loewner.trace import extract_trace
 
@@ -46,3 +57,39 @@ def test_disk_boundary_sample_on_sampled_term_is_pinned():
 def test_trace_tip_is_pinned():
     tip = extract_trace(TangentTerm(1.0), [0.01])[0][1]
     assert (tip.real.hex(), tip.imag.hex()) == ("0x1.1a9c8ddb927c1p-1", "0x1.544107afd3c0ep-3")
+
+
+def _digest(traj) -> str:
+    h = hashlib.sha256(np.ascontiguousarray(traj.times, dtype=float).tobytes())
+    h.update(np.ascontiguousarray(traj.values, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def _bridge_case():
+    # the bridge round trip's grid at r = 1.3: 3000 nodes on [0, r**2],
+    # geometrically dense towards the swallowing time r**2
+    r = 1.3
+    grid = r * r * np.concatenate(([0.0], 1.0 - np.geomspace(1.0, 1e-8, 2999)[1:], [1.0]))
+    return Scaled(Lind(4.0), r), 2.0 * r, grid
+
+
+def test_capture_bound_halfplane_flow_is_pinned():
+    term, x0, grid = _bridge_case()
+    traj = evolve_boundary(term, x0, float(grid[-1]), capture=grid)
+    assert _digest(traj) == "3e21d581b23d5bb72f4d83e8565fe87ddf2cc6644cc7bef95c72abea91d1d715"
+
+
+def test_capture_bound_disk_flow_is_pinned():
+    term, x0, grid = _bridge_case()
+    u = halfplane_to_disk(term, x0, grid).term
+    traj = evolve_disk_boundary(u, x0, u.domain_end, capture=u.times)
+    assert _digest(traj) == "ab9a0c8e714bce75f3513411f203c886900ea064f9f173f410dde01cc3d02250"
+
+
+@pytest.mark.parametrize("solve, digest", [
+    (singular_plus, "9f61f3eef5e74d7084bb918dc86c74ad57918e51c13a90af4cc82bf867b989e1"),
+    (singular_minus, "5e216047728efd1b4ad490dfa5dde54850104808b98861fc77805faed29f0b6b"),
+])
+def test_capture_bound_singular_pair_is_pinned(solve, digest):
+    traj = solve(Sqrt(2.0), 1.0, capture=np.geomspace(1e-6, 1.0, 3000))
+    assert _digest(traj) == digest

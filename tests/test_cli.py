@@ -181,10 +181,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                          "--out", str(tmp_path / "s.csv")]) == 2
     # a y-sequence longer than critical.MAX_Y_ZEROS (its O(n^2) cost)
     assert main(["critical", "--mode", "y-sequence", "--n", str(MAX_Y_ZEROS + 1)]) == 2
-    # a tangent radius that is not finite, and a start point with extra coordinates
+    # a term parameter that is not finite, and a start point with extra coordinates
     for term in ("tangent:nan", "tangent:inf"):
         assert main(["evolve", "--geometry", "halfplane", "--term", term, "--start", "1",
                      "--t-end", "0.01", "--out", str(tmp_path / "x.csv")]) == 2
+    for term in ("sqrt:nan", "lind:nan", "constant:nan", "lind:inf"):
+        for geometry in ("halfplane", "disk"):
+            assert main(["evolve", "--geometry", geometry, "--term", term, "--start", "1",
+                         "--t-end", "0.5", "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["singular", "--term", "sqrt:nan", "--t-end", "1",
+                 "--out", str(tmp_path / "s.csv")]) == 2
     for geometry in ("halfplane", "disk"):
         assert main(["evolve", "--geometry", geometry, "--term", "sqrt:1", "--start", "0.1,0.2,3",
                      "--t-end", "0.5", "--out", str(tmp_path / "x.csv")]) == 2

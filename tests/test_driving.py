@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loewner import (Constant, DomainError, Lind, Sampled, Scaled, Sqrt,
+from loewner import (Constant, DomainError, FromCallable, Lind, Sampled, Scaled, Sqrt,
                      load_sampled_csv, parse_term, write_sampled_csv)
 from loewner.disk import evolve_disk_boundary, evolve_disk_interior
 from loewner.halfplane import evolve_boundary, evolve_interior, singular_plus
@@ -57,6 +57,15 @@ def test_scale_and_radius_must_be_positive_and_finite(r):
         Scaled(Sqrt(1.0), r)
     with pytest.raises(ValueError):
         TangentTerm(r)
+
+
+@pytest.mark.parametrize("family", [Constant, Sqrt, Lind])
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_family_parameter_must_be_finite(family, c):
+    # a non-finite c makes every value non-finite, and a solve would fail far
+    # from the cause (step size underflow, a bootstrap that left its side)
+    with pytest.raises(ValueError, match="not finite"):
+        family(c)
 
 
 def test_onset_exponent_is_a_fact_of_the_term():
@@ -133,6 +142,42 @@ def test_sampled_values_equal_the_scalar_lookup(case):
     for outside in (-2e-12, end + 2e-12 * max(1.0, end), math.nan):
         with pytest.raises(DomainError):
             term.values(probes + [outside])
+
+
+_PARAM = st.floats(-10.0, 10.0)
+_RADIUS = st.floats(0.1, 10.0)
+_BASE = st.one_of(_PARAM.map(Sqrt), _PARAM.map(Lind), _RADIUS.map(TangentTerm))
+
+
+@st.composite
+def _term_and_probes(draw):
+    """A term of one family and times inside its domain, at 0, -0.0 and the
+    domain end, and inside the rounding slack beyond either end."""
+    term = draw(st.one_of(
+        _PARAM.map(Constant), _PARAM.map(Sqrt), _PARAM.map(Lind),
+        st.builds(Scaled, _BASE, _RADIUS), _RADIUS.map(TangentTerm),
+        _RADIUS.map(lambda end: FromCallable(math.cos, end)), st.just(FromCallable(math.atan))))
+    end = term.domain_end
+    probes = [st.floats(0.0, 10.0 if end is None else end), st.sampled_from((0.0, -0.0)),
+              st.floats(-1e-12, 0.0)]
+    if end is not None:
+        probes += [st.just(end), st.floats(end, end + 1e-12 * max(1.0, end))]
+    return term, draw(st.lists(st.one_of(*probes), min_size=1, max_size=40))
+
+
+@settings(max_examples=200)
+@given(case=_term_and_probes())
+def test_values_equal_value_bit_for_bit_in_every_family(case):
+    # values is the stepper's block evaluation: any drift in the last bit
+    # would change the solves that read their driving values from it
+    term, probes = case
+    expected = [term.value(t).hex() for t in probes]
+    assert [v.hex() for v in term.values(probes).tolist()] == expected
+    end = term.domain_end
+    outside = [-2e-12, math.nan] + ([] if end is None else [end + 2e-12 * max(1.0, end)])
+    for t in outside:
+        with pytest.raises(DomainError):
+            term.values(probes + [t])
 
 
 def test_sampled_validation():

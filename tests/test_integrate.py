@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from loewner import integrate
-from loewner.driving import Lind
+from loewner.driving import DrivingTerm, Lind, Scaled, Sqrt
 from loewner.errors import IntegrationError
+from loewner.halfplane import singular_plus
 from loewner.integrate import solve_scalar, solve_singular_branch
 from loewner.tangent import TangentTerm, solve_params
 
@@ -95,6 +96,77 @@ def test_one_driving_evaluation_per_stage_time(with_gap):
                        tol=1e-9, gap=gap)
     assert res.swallowed_at is None and res.n_steps > 20
     assert term.calls <= 5 * res.n_steps + 2
+
+
+def _hp_gap(y, l):
+    return abs(y - l)
+
+
+CAPTURE_CASES = {  # term, t0, y0, t_end, capture, tol
+    # one capped step per capture interval, swallowed near t = 1
+    "capture-bound": (Lind(4.0), 0.0, 2.0, 1.0, 1.0 - np.geomspace(1.0, 1e-8, 400)[1:], 1e-10),
+    # sparse captures: uncapped steps in between, and a tail after the last one
+    "sparse": (Scaled(Lind(3.0), 1.3), 0.0, 2.0, 1.69, [0.01, 0.3, 0.31, 1.0], 1e-10),
+    # a start off 0, captures before it, a repeated one and one at t_end
+    "offset": (Sqrt(2.0), 0.05, 0.5, 1.0,
+               [0.0, 0.1, 0.1 + 1e-9, 0.2, 0.75, 0.9, 1.0, 0.95, 0.95], 1e-10),
+    # two-digit captures, whose stage times t + c*h round unlike other
+    # groupings of the same sum
+    "decimal": (Sqrt(1.0), 0.0, 3.0, 1.0, np.round(np.linspace(0.01, 1.0, 100), 2), 1e-10),
+    # capped steps whose t + h misses the target by rounding (stage 7 then
+    # differs from stage 6)
+    "wide": (Sqrt(1.0), 0.0, 1e3, 1.0, [0.001, 0.009, 0.028], 1e-6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CAPTURE_CASES))
+@pytest.mark.parametrize("block_rows", [1, 3, 256])
+def test_block_table_changes_no_bit(case, block_rows, monkeypatch):
+    # the scalar path is the reference: the table holds the same IEEE stage
+    # times and the same driving values, so the right-hand side sees the same
+    # Python floats (never numpy scalars) and every sample is the same float
+    monkeypatch.setattr(integrate, "_BLOCK_ROWS", block_rows)
+    term, t0, y0, t_end, capture, tol = CAPTURE_CASES[case]
+    seen = {False: [], True: []}
+
+    def solve(vectorized):
+        def rhs(y, l):
+            seen[vectorized].append((type(l), l.hex()))
+            return 2.0 / (y - l)
+
+        return solve_scalar(rhs, term.value, t0, y0, t_end, tol=tol, gap=_hp_gap,
+                            capture=capture, lam_values=lam_values if vectorized else None)
+
+    blocks = []
+
+    def lam_values(ts):
+        blocks.append(ts.size)
+        return term.values(ts)
+
+    ref, res = solve(False), solve(True)
+    assert seen[True] == seen[False]
+    assert {kind for kind, _ in seen[True]} == {float}
+    assert res.times.tobytes() == ref.times.tobytes()
+    assert res.values.tobytes() == ref.values.tobytes()
+    assert (res.swallowed_at, res.n_steps) == (ref.swallowed_at, ref.n_steps)
+    # six values per capped step, at most _BLOCK_ROWS steps per block
+    assert blocks and max(blocks) <= 6 * block_rows
+
+
+def test_capture_bound_solve_reads_its_driving_values_from_blocks(monkeypatch):
+    # evaluated per stage time, this solve makes 15348 scalar calls; with the
+    # block table only the first value, the seed solve and the steps that do
+    # not start on a capture time are left
+    calls = []
+    value = DrivingTerm.value
+
+    def counted(self, t):
+        calls.append(t)
+        return value(self, t)
+
+    monkeypatch.setattr(DrivingTerm, "value", counted)
+    singular_plus(Sqrt(2.0), 1.0, capture=np.geomspace(1e-6, 1.0, 3000))
+    assert len(calls) <= 1000
 
 
 def test_collision_refinement(monkeypatch):
