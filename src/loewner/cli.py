@@ -46,6 +46,8 @@ def parse_grid(spec: str) -> np.ndarray:
 
 
 def _cmd_evolve(args) -> int:
+    if not 0.0 <= args.t_end < math.inf:  # NaN fails too
+        raise ValueError("--t-end must be finite and nonnegative")
     term = parse_term(args.term)
     start = [float(x) for x in args.start.split(",")]
     if len(start) > 2:
@@ -96,6 +98,10 @@ def _cmd_trace(args) -> int:
 
 def _cmd_tangent(args) -> int:
     grid = parse_grid(args.t_grid)
+    # checked in full before --out is opened, so a bad grid leaves no file
+    if not 0.0 <= grid.min() <= grid.max() <= tangent.T_MAX_DEFAULT:
+        raise ValueError(f"--t-grid must lie in the tangent-slit domain "
+                         f"[0, {tangent.T_MAX_DEFAULT!r}]")
     with open(args.out, "w") as fh:
         fh.write("t,alpha,beta,lambda\n")
         for t in grid:

@@ -70,14 +70,26 @@ def holder_sup_norm(times, values, exponent: float = 0.5) -> float:
     else:
         gaps = [1 << k for k in range((n - 1).bit_length())]  # powers of two below n
 
-    def sup(dv, dt):
-        return float(np.max(np.abs(dv) / dt ** exponent))
+    # every quotient is formed in these two buffers; numpy's dt ** 0.5 is
+    # np.sqrt(dt) and any other dt ** exponent is np.power(dt, exponent)
+    num, den = np.empty(n - 1), np.empty(n - 1)
 
-    best = max(sup(v[g:] - v[:-g], t[g:] - t[:-g]) for g in gaps)
+    def sup(m, v1, v0, t1, t0):
+        """max of |v1 - v0| / (t1 - t0)**exponent over m pairs."""
+        a, b = num[:m], den[:m]
+        np.abs(np.subtract(v1, v0, out=a), out=a)
+        np.subtract(t1, t0, out=b)
+        if exponent == 0.5:
+            np.sqrt(b, out=b)
+        else:
+            np.power(b, exponent, out=b)
+        return float(np.divide(a, b, out=a).max())
+
+    best = max(sup(n - g, v[g:], v[:-g], t[g:], t[:-g]) for g in gaps)
     if n > DENSE_PAIR_LIMIT:
         # pairs anchored at the first and at the last sample
-        best = max(best, sup(v[1:] - v[0], t[1:] - t[0]),
-                   sup(v[-1] - v[:-1], t[-1] - t[:-1]))
+        best = max(best, sup(n - 1, v[1:], v[0], t[1:], t[0]),
+                   sup(n - 1, v[-1], v[:-1], t[-1], t[:-1]))
     return best
 
 

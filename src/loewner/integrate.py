@@ -19,20 +19,37 @@ in an f(t, y) stepper whose f evaluates lambda itself, so results are
 bit-identical; only the repeated evaluations are gone.
 
 A solve that lands on dense capture times takes one capped step per capture
-interval, and each such step starts on the previous capture time (or t0) and
-ends on the next one. Its stage times are then known before the solve, so
-given ``lam_values``, the vectorized form of ``lam``, the stepper reads the
-six driving values of such a step (stages 2-5, t + h and the target) from a
-table row; stage 7 takes the target's value, which is stage 6's whenever the
-two times agree. Rows are filled in blocks of ``_BLOCK_ROWS`` capture
-intervals by one ``lam_values`` call each, the first time a step needs a row
-the current block lacks, so the table's memory is bounded whatever the number
-of captures. The block's stage times are the stepper's own IEEE operations
-(t + c*h and t + h with h = target - t), ``lam_values`` returns ``lam`` of
-each time bit for bit, and ``tolist`` hands them over as Python floats, so
-results do not change. Every other step, including uncapped steps, capped steps that
-start between captures and the retries of rejected steps, and the collision
-refinement call ``lam`` per stage time.
+interval, each starting on the previous capture time (or t0) and ending on
+the next one. Given ``lam_values``, the vectorized form of ``lam``, such steps
+are taken in a capture run: an inner loop over the rows of a block table,
+one row per capture interval holding the six driving values of its step
+(stages 2-5, t + h and the target; stage 7 takes the target's value, which
+is stage 6's whenever the two times agree), its h = target - t and its
+target. Rows are filled in blocks of ``_BLOCK_ROWS`` intervals by one
+``lam_values`` call each, the first time a run reaches a row the current
+block lacks, so the table's memory is bounded whatever the number of
+captures.
+
+A run starts whenever t is the previous capture time (or t0), and it fixes
+the step proposal hp = max(h_prop, H_FLOOR) for its whole length: a capped
+step never changes h_prop, so hp is what the general step would use at every
+row. A row is stepped when t + hp reaches its target (the general step's
+capping test), and the run ends on the first row it does not reach, on a
+rejected step (h_prop then shrinks as in the general step), at a collision,
+or at t_end. A run that ends before t_end without a collision hands over to
+one general step from the same t, so a run never restarts where it ended, and
+every pass of the solve loop takes at least one step. Results are bit-identical
+to the general step's: the row's stage times, h and target are the stepper's
+own IEEE operations (t + c*h and t + h with h = target - t), ``lam_values``
+returns ``lam`` of each time bit for bit, ``tolist`` hands them over as
+Python floats, and the stage lines are the general step's. The error norm
+keeps |y_new| as the next step's |y| and takes the larger of the two with a
+comparison instead of ``max``, which picks the same operand; the error and
+gap tests are written as ``not err_norm <= 1.0`` and ``not delta <= gap <
+inf``, which decide alike for every err_norm >= 0 or NaN and every gap.
+Every other step, including uncapped steps, capped steps that start between
+captures and the retries of rejected steps, and the collision refinement
+call ``lam`` per stage time.
 
 Two further features are tailored to Loewner dynamics:
 
@@ -151,9 +168,9 @@ def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
         When False only the initial and final samples are kept (fast scans).
     lam_values : callable or None
         The vectorized form of ``lam``: lam_values(ts) -> ndarray of
-        lam(t) for each t, bit for bit. With capture times, a capped step
-        that starts on the previous capture time (or t0) takes its driving
-        values from the block table it fills (see the module docstring).
+        lam(t) for each t, bit for bit. With capture times, the capped steps
+        from one capture time to the next are taken in capture runs that read
+        their driving values from a block table (see the module docstring).
     """
     _check_tol(tol)
     h_floor = H_FLOOR
@@ -172,8 +189,9 @@ def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
     cap = np.unique(np.asarray([] if capture is None else capture, dtype=float))
     cap = cap[(cap > t) & (cap <= t_end)]
     # capped step icap runs from edges[icap] (the previous capture, or t0) to
-    # edges[icap + 1]; its driving values are row icap - row0 of ``block``
-    edges = np.concatenate(([t], cap, [t_end])) if lam_values is not None and cap.size else None
+    # edges[icap + 1]; its row of the block table is icap - row0. A last
+    # capture at t_end ends the edges: a run stops after it, with no empty row
+    edges = np.unique(np.append(cap, (t, t_end))) if lam_values is not None and cap.size else None
     block = None
     row0 = row1 = 0
     t_first = t
@@ -198,6 +216,62 @@ def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
 
     n_steps = 0
     while t < t_end:
+        if edges is not None and t == (cap[icap - 1] if icap else t_first):
+            # capture run (see the module docstring): capped steps from one
+            # capture time to the next, one row of the block table each
+            hp = max(h_prop, h_floor)
+            ay = abs(y)
+            while True:
+                if not row0 <= icap < row1:
+                    if not t + hp >= (cap[icap] if icap < n_cap else t_end):
+                        break
+                    row0, row1 = icap, icap + _BLOCK_ROWS
+                    block = _stage_block(lam_values, edges[row0:row1 + 1])
+                for l2, l3, l4, l5, l6, l7, h, target in block[icap - row0:]:
+                    if not t + hp >= target:
+                        break
+                    if n_steps >= max_steps:
+                        raise IntegrationError("step budget exhausted", t, y)
+                    k2 = rhs(y + h * (a21 * k1), l2)
+                    k3 = rhs(y + h * (a31 * k1 + a32 * k2), l3)
+                    k4 = rhs(y + h * (a41 * k1 + a42 * k2 + a43 * k3), l4)
+                    k5 = rhs(y + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4), l5)
+                    k6 = rhs(y + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5), l6)
+                    y_new = y + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+                    k7 = rhs(y_new, l7)
+                    err = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
+                    ay_new = abs(y_new)
+                    err_norm = abs(err) / (tol + tol * (ay_new if ay_new > ay else ay))
+                    n_steps += 1
+                    # for err_norm >= 0 or NaN, the same test as the general step's
+                    if not err_norm <= 1.0:
+                        if h <= h_floor:
+                            raise IntegrationError(
+                                "step size underflow (floor hit before tolerance)", t, y)
+                        h_prop = (h * max(0.1, 0.9 * err_norm ** -0.2) if math.isfinite(err_norm)
+                                  else h * 0.1)
+                        break
+                    if gap is not None:
+                        g_new = gap(y_new, l7)
+                        if not delta <= g_new < math.inf:  # below delta, inf or NaN
+                            tau, y_tau = _refine_crossing(gap, lam, delta, t, y, k1, target,
+                                                          y_new, k7)
+                            times.append(tau)
+                            values.append(y_tau)
+                            return _result(times, values, swallowed_at=tau, n_steps=n_steps)
+                    t, y, k1, ay = target, y_new, k7, ay_new
+                    icap += 1
+                    if record:
+                        times.append(t)
+                        values.append(y)
+                else:
+                    if t < t_end:
+                        continue  # on to the next block
+                break
+            if t >= t_end:
+                break
+            # the run ended before t_end: one general step from the same t
+
         if n_steps >= max_steps:
             raise IntegrationError("step budget exhausted", t, y)
 
@@ -208,33 +282,20 @@ def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
             h = target - t
         floored = h <= h_floor
 
-        # c6 = c7 = 1: stage 6 sits at t + h, and so does stage 7 unless a
-        # capped step's target differs from t + h by rounding
-        if capped and edges is not None and t == (cap[icap - 1] if icap else t_first):
-            if not row0 <= icap < row1:
-                row0, row1 = icap, icap + _BLOCK_ROWS
-                block = _stage_block(lam_values, edges[row0:row1 + 1])
-            l2, l3, l4, l5, l6, l7 = block[icap - row0]
-            k2 = rhs(y + h * (a21 * k1), l2)
-            k3 = rhs(y + h * (a31 * k1 + a32 * k2), l3)
-            k4 = rhs(y + h * (a41 * k1 + a42 * k2 + a43 * k3), l4)
-            k5 = rhs(y + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4), l5)
-            k6 = rhs(y + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5), l6)
-            y_new = y + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
-            t_new = target
-        else:
-            # the stages repeat the lines above with each lam call inline:
-            # held in locals first, they cost uncapped solves about 2%
-            k2 = rhs(y + h * (a21 * k1), lam(t + c2 * h))
-            k3 = rhs(y + h * (a31 * k1 + a32 * k2), lam(t + c3 * h))
-            k4 = rhs(y + h * (a41 * k1 + a42 * k2 + a43 * k3), lam(t + c4 * h))
-            k5 = rhs(y + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4), lam(t + c5 * h))
-            t_h = t + h
-            l6 = lam(t_h)
-            k6 = rhs(y + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5), l6)
-            y_new = y + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
-            t_new = target if capped else t_h
-            l7 = l6 if t_new == t_h else lam(t_new)
+        # the stage lines of the run above with each lam call inline: held in
+        # locals first, they cost uncapped solves about 2%. c6 = c7 = 1: stage
+        # 6 sits at t + h, and so does stage 7 unless a capped step's target
+        # differs from t + h by rounding
+        k2 = rhs(y + h * (a21 * k1), lam(t + c2 * h))
+        k3 = rhs(y + h * (a31 * k1 + a32 * k2), lam(t + c3 * h))
+        k4 = rhs(y + h * (a41 * k1 + a42 * k2 + a43 * k3), lam(t + c4 * h))
+        k5 = rhs(y + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4), lam(t + c5 * h))
+        t_h = t + h
+        l6 = lam(t_h)
+        k6 = rhs(y + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5), l6)
+        y_new = y + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+        t_new = target if capped else t_h
+        l7 = l6 if t_new == t_h else lam(t_new)
         k7 = rhs(y_new, l7)
         err = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
         err_norm = abs(err) / (tol + tol * max(abs(y), abs(y_new)))
@@ -391,13 +452,14 @@ def solve_singular_branch(lam, p: float, t_end: float, *, tol: float,
 
 def _stage_block(lam_values, edges: np.ndarray) -> list[list[float]]:
     """Driving values of the capped steps from each edge to the next, one row
-    per step: stages 2-5, t + h and the target. The stage times are the
-    stepper's own IEEE operations (t + c*h and t + h with h = target - t)."""
+    per step: stages 2-5, t + h and the target, then the step's h and target
+    themselves. The stage times are the stepper's own IEEE operations (t + c*h
+    and t + h with h = target - t)."""
     st = edges[:-1, None]
     en = edges[1:, None]
     h = en - st
     ts = np.concatenate((st + _STAGE_C * h, st + h, en), axis=1)
-    return lam_values(ts.ravel()).reshape(ts.shape).tolist()
+    return np.concatenate((lam_values(ts.ravel()).reshape(ts.shape), h, en), axis=1).tolist()
 
 
 def _check_tol(tol) -> None:

@@ -6,16 +6,16 @@ real-number operation the same IEEE operation on the same operands; these pins
 fail on any drift in the last bit. The three trajectory digests (the Lind(4)
 bridge's half-plane and disk flows and the Sqrt(2) singular pair, each
 landing on 3000 capture times) were recorded before capped steps took their
-driving values from the stepper's block table. The other values were
-recorded before the stepper took its right-hand side as a function of
-(y, lambda), except two:
-the threshold experiment's handoff state y(t_h), recorded when its solve first
-stopped at the terminal layer (a plain solve to t_h with the earlier stepper
-gives the same bits), and the tangent slit's h+(0.01), re-recorded when that
-stiff branch moved from the explicit seed-and-solve path to the implicit
-SDIRK steps of ``integrate.solve_singular_branch``. That value is also held
-to beta(0.01) within 1e-9; the old path's value was 9.3e-11 off, the new one
-is 4.2e-11 off.
+driving values from the stepper's block table, and the Holder norms of the
+bridge's disk term before the pair scan moved into reused buffers. The other
+values were recorded before the stepper took its right-hand side as a
+function of (y, lambda), except two: the threshold experiment's handoff state
+y(t_h), recorded when its solve first stopped at the terminal layer (a plain
+solve to t_h with the earlier stepper gives the same bits), and the tangent
+slit's h+(0.01), re-recorded when that stiff branch moved from the explicit
+seed-and-solve path to the implicit SDIRK steps of
+``integrate.solve_singular_branch``. That value is also held to beta(0.01)
+within 1e-9; the old path's value was 9.3e-11 off, the new one is 4.2e-11 off.
 """
 
 import hashlib
@@ -26,6 +26,7 @@ import pytest
 from loewner.bridge import halfplane_to_disk
 from loewner.critical import collision_threshold_experiment
 from loewner.disk import evolve_disk_boundary
+from loewner.holder import holder_sup_norm
 from loewner.driving import Lind, Sampled, Scaled, Sqrt
 from loewner.halfplane import evolve_boundary, singular_minus, singular_plus
 from loewner.tangent import TangentTerm, solve_params
@@ -84,6 +85,17 @@ def test_capture_bound_disk_flow_is_pinned():
     u = halfplane_to_disk(term, x0, grid).term
     traj = evolve_disk_boundary(u, x0, u.domain_end, capture=u.times)
     assert _digest(traj) == "ab9a0c8e714bce75f3513411f203c886900ea064f9f173f410dde01cc3d02250"
+
+
+@pytest.mark.parametrize("exponent, pinned", [
+    (0.5, "0x1.fff7bcb9c2127p+1"),
+    (1.0 / 3.0, "0x1.dc11fa3eba8b8p+1"),
+])
+def test_holder_norm_of_bridge_term_is_pinned(exponent, pinned):
+    # all 3000 samples of the bridge's disk term, so every index gap is scanned
+    term, x0, grid = _bridge_case()
+    u = halfplane_to_disk(term, x0, grid).term
+    assert holder_sup_norm(u.times, u.table_values, exponent).hex() == pinned
 
 
 @pytest.mark.parametrize("solve, digest", [

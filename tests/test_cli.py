@@ -87,6 +87,15 @@ def test_tangent_csv(tmp_path):
     assert lam == pytest.approx(2 * a + b, rel=1e-12)
 
 
+@pytest.mark.parametrize("grid", ["log:1e-4:0.1:5", "lin:-0.01:0.04:5", "0.01,0.06"])
+def test_tangent_grid_outside_the_domain_writes_no_file(grid, tmp_path, capsys):
+    # the whole grid is checked before the output is opened: no truncated CSV
+    out = tmp_path / "tan.csv"
+    assert main(["tangent", "--t-grid", grid, "--out", str(out)]) == 2
+    assert "tangent-slit domain" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_convert_and_norm_round_trip(tmp_path, capsys):
     conv = tmp_path / "u.csv"
     assert main(["convert", "--direction", "h2d", "--term", "lind:4", "--start", "2",
@@ -161,6 +170,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert main(["evolve", "--geometry", geometry, "--term", "sqrt:1", "--start", start,
                      "--t-end", "0.5", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["critical", "--mode", "c-iteration", "--c", "nan"]) == 2
+    # an evolve end time that is not finite or is negative, as for singular
+    for t_end in ("nan", "inf", "-1"):
+        assert main(["evolve", "--geometry", "halfplane", "--term", "sqrt:1", "--start", "1",
+                     "--t-end", t_end, "--out", str(tmp_path / "x.csv")]) == 2
     # a c grid that is unbounded or reversed, and counts that yield no result
     assert main(["critical", "--mode", "threshold", "--c-max", "inf"]) == 2
     assert main(["critical", "--mode", "threshold", "--c-min", "4", "--c-max", "3"]) == 2
@@ -239,8 +252,9 @@ def test_computational_failure_exits_one(tmp_path, capsys):
 
 
 def test_nan_t_end_is_rejected(tmp_path, capsys):
-    # NaN passes every `t_end < bound` test; the guards must reject it
+    # NaN passes every `t_end < bound` test; the guards must reject it, as a
+    # usage error
     rc = main(["evolve", "--geometry", "halfplane", "--term", "lind:4",
                "--start", "2", "--t-end", "nan", "--out", str(tmp_path / "x.csv")])
-    assert rc != 0
-    assert capsys.readouterr().err.startswith("error:")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("usage error:")

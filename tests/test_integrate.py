@@ -116,6 +116,14 @@ CAPTURE_CASES = {  # term, t0, y0, t_end, capture, tol
     # capped steps whose t + h misses the target by rounding (stage 7 then
     # differs from stage 6)
     "wide": (Sqrt(1.0), 0.0, 1e3, 1.0, [0.001, 0.009, 0.028], 1e-6),
+    # a capture run whose capped step from 0.2 fails the error test: the
+    # general steps take over and land on 0.9, where a second run starts
+    # through the dense cluster
+    "rejected-in-run": (Lind(4.0), 0.0, 2.0, 0.99,
+                        np.concatenate((np.linspace(0.05, 0.9, 18), np.linspace(0.9, 0.91, 41)[1:])),
+                        1e-10),
+    # one run through 49 capture intervals whose last capture is t_end
+    "ends-on-capture": (Scaled(Lind(4.0), 1.3), 0.0, 2.6, 1.0, np.linspace(0.02, 1.0, 50), 1e-10),
 }
 
 
@@ -151,6 +159,78 @@ def test_block_table_changes_no_bit(case, block_rows, monkeypatch):
     assert (res.swallowed_at, res.n_steps) == (ref.swallowed_at, ref.n_steps)
     # six values per capped step, at most _BLOCK_ROWS steps per block
     assert blocks and max(blocks) <= 6 * block_rows
+
+
+def _step_kinds(term, t0, y0, t_end, capture, tol):
+    """Solve with ``lam_values`` and tell the steps apart by the calls they
+    make: every step calls rhs six times (k2 to k7), a step of a capture run
+    calls ``lam`` for none of them, and only an accepted step is followed by
+    a gap check. Returns the result and one (run, accepted) pair per step."""
+    calls = []
+
+    def rhs(y, l):
+        calls.append("rhs")
+        return 2.0 / (y - l)
+
+    def lam(t):
+        calls.append("lam")
+        return term.value(t)
+
+    def gap(y, l):
+        calls.append("gap")
+        return _hp_gap(y, l)
+
+    res = solve_scalar(rhs, lam, t0, y0, t_end, tol=tol, gap=gap, capture=capture,
+                       lam_values=term.values)
+    kinds = []
+    i = calls.index("rhs") + 1  # past k1
+    while calls[i:].count("rhs") >= 6:
+        start, n_rhs = i, 0
+        while n_rhs < 6:
+            n_rhs += calls[i] == "rhs"
+            i += 1
+        kinds.append(("lam" not in calls[start:i], i < len(calls) and calls[i] == "gap"))
+    return res, kinds
+
+
+def test_rejected_run_step_hands_over_and_a_later_run_starts():
+    res, kinds = _step_kinds(*CAPTURE_CASES["rejected-in-run"])
+    assert res.swallowed_at is None and len(kinds) == res.n_steps
+    first_reject = kinds.index((True, False))
+    # the run's rejected step is retried by a general step, and a later run
+    # takes accepted steps again
+    assert kinds[first_reject - 1] == (True, True)
+    assert kinds[first_reject + 1][0] is False
+    assert (True, True) in kinds[first_reject + 1:]
+
+
+def test_run_ends_on_a_final_capture_at_t_end():
+    term, t0, y0, t_end, capture, tol = CAPTURE_CASES["ends-on-capture"]
+    assert capture[-1] == t_end
+    res, kinds = _step_kinds(term, t0, y0, t_end, capture, tol)
+    # no step after the one landing on t_end, and no zero-length one
+    assert res.times[-1] == t_end and np.all(np.diff(res.times) > 0)
+    assert kinds[-49:] == [(True, True)] * 49 and len(kinds) == res.n_steps
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 256])
+def test_step_budget_running_out_in_a_run_matches_the_scalar_path(block_rows, monkeypatch):
+    term, t0, y0, t_end, capture, tol = CAPTURE_CASES["rejected-in-run"]
+    _, kinds = _step_kinds(term, t0, y0, t_end, capture, tol)
+    budget = 70
+    # steps 70 and 71 (counted from 1) are steps of the second run
+    assert kinds[budget - 1: budget + 1] == [(True, True)] * 2
+    assert (True, False) in kinds[:budget]
+    monkeypatch.setattr(integrate, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(integrate, "MAX_STEPS", budget)
+    errors = []
+    for lam_values in (None, term.values):
+        with pytest.raises(IntegrationError, match="step budget exhausted") as err:
+            solve_scalar(lambda y, l: 2.0 / (y - l), term.value, t0, y0, t_end, tol=tol,
+                         gap=_hp_gap, capture=capture, lam_values=lam_values)
+        errors.append((str(err.value), err.value.t.hex(), err.value.y.hex()))
+    assert errors[0] == errors[1]
+    assert float.fromhex(errors[0][1]) in set(capture.tolist())
 
 
 def test_capture_bound_solve_reads_its_driving_values_from_blocks(monkeypatch):
