@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bridge, critical, repro, tangent, trace
 from .driving import parse_term, write_sampled_csv
-from .errors import LoewnerError
+from .errors import DomainError, LoewnerError
 from .halfplane import evolve_boundary, evolve_interior, singular_minus, singular_plus
 from .holder import holder_exponent_fit, holder_sup_norm
 from .trajectory import write_trajectory_csv
@@ -45,10 +45,21 @@ def parse_grid(spec: str) -> np.ndarray:
     return np.asarray(grid, dtype=float)
 
 
+def _term_covering(spec: str, t_end: float):
+    """The term of ``spec``, checked to cover [0, t_end] before any solve or
+    output file: a time past its domain is a usage error."""
+    term = parse_term(spec)
+    try:
+        term.check_covers(t_end)
+    except DomainError as exc:
+        raise ValueError(str(exc)) from None
+    return term
+
+
 def _cmd_evolve(args) -> int:
     if not 0.0 <= args.t_end < math.inf:  # NaN fails too
         raise ValueError("--t-end must be finite and nonnegative")
-    term = parse_term(args.term)
+    term = _term_covering(args.term, args.t_end)
     start = [float(x) for x in args.start.split(",")]
     if len(start) > 2:
         raise ValueError(f"--start takes re[,im], got {len(start)} components")
@@ -74,7 +85,7 @@ def _cmd_singular(args) -> int:
     if not _SINGULAR_GRID_FLOOR < args.t_end < math.inf:  # NaN fails too
         raise ValueError(f"--t-end must be finite and exceed the grid floor "
                          f"{_SINGULAR_GRID_FLOOR!r}")
-    term = parse_term(args.term)
+    term = _term_covering(args.term, args.t_end)
     grid = np.geomspace(max(args.t_end * 1e-8, _SINGULAR_GRID_FLOOR), args.t_end, args.n)
     minus = singular_minus(term, args.t_end, args.tol, capture=grid)
     plus = singular_plus(term, args.t_end, args.tol, capture=grid)
@@ -87,8 +98,9 @@ def _cmd_singular(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    term = parse_term(args.term)
-    tips = trace.extract_trace(term, parse_grid(args.t_grid), args.tol)
+    grid = parse_grid(args.t_grid)
+    term = _term_covering(args.term, float(grid.max()))
+    tips = trace.extract_trace(term, grid, args.tol)
     with open(args.out, "w") as fh:
         fh.write("t,re,im\n")
         for t, tip in tips:
@@ -111,8 +123,8 @@ def _cmd_tangent(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    term = parse_term(args.term)
     grid = parse_grid(args.t_grid)
+    term = _term_covering(args.term, float(grid.max()))
     start = float(args.start)
     if args.direction == "h2d":
         res = bridge.halfplane_to_disk(term, start, grid, args.tol)

@@ -1,16 +1,26 @@
 """Slit-trace reconstruction by reverse-time Loewner evolution.
 
 The tip of the slit generated by a driving term at time t is the preimage of
-the driving point under the time-t map: gamma(t) = h^{-1}(lambda(t), t). It is
-computed by integrating the backward equation ds/du = -2 / (s - lambda(t - u))
-over u in [0, t] from the regularized start s(0) = lambda(t) + i*eps, then
-extrapolating eps -> 0 over a halving sequence (Richardson with empirically
-estimated order).
+the driving point under the time-t map: gamma(t) = h^{-1}(lambda(t), t), the
+end of the backward flow ds/du = -2 / (s - lambda(t - u)) over u in [0, t].
+That flow starts on the driving point, where it is singular, so one solve per
+tip runs it in the blown-up variables tau = log u, Y = (s - lambda(t)) / sqrt(u):
+
+    dY/dtau = -2 / (Y - D) - Y / 2,   D = (lambda(t - u) - lambda(t)) / sqrt(u),
+
+with D in the stepper's place of the driving value; the tip is
+lambda(t) + sqrt(t) * Y(log t). The solve starts at u0 = t * (float epsilon)
+on the upper root of the stationary profile Y^2 - D*Y + 4 = 0 (exact for
+lambda = c*sqrt(t); Kager, Nienhuis & Kadanoff 2004), which attracts at rate
+1 - D^2/16 per unit of tau, so a start error decays like a power of u0 / u:
+moving u0 only lengthens a contracting flow, and no absolute scale enters.
+Without an upper root (|D0| >= 4, Lind(c >= 4) at t = 1) there is no slit tip.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -18,15 +28,12 @@ from .driving import DrivingTerm
 from .errors import IntegrationError, TraceError
 from .integrate import solve_scalar
 
-#: the halving sequence of start offsets eps extrapolated to eps -> 0
-EPS_LEVELS = (1e-3, 5e-4, 2.5e-4)
-
 
 def extract_trace(term: DrivingTerm, t_grid, tol: float = 1e-8) -> list[tuple[float, complex]]:
     """Tips gamma(t) of the slit generated by ``term`` for each t in the grid.
 
-    Returns a list of (t, tip) pairs. Raises TraceError when the backward
-    integration blows up at some grid time.
+    Returns a list of (t, tip) pairs. Raises TraceError when the driving point
+    at some grid time is not a slit tip or the backward integration blows up.
     """
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0):
@@ -35,37 +42,29 @@ def extract_trace(term: DrivingTerm, t_grid, tol: float = 1e-8) -> list[tuple[fl
     return [(float(t), _tip(term, float(t), tol)) for t in grid]
 
 
+def _blown_up_rhs(y, d):
+    """dY/dtau = -2 / (Y - D) - Y / 2, the backward equation in blown-up variables."""
+    return -2.0 / (y - d) - 0.5 * y
+
+
 def _tip(term: DrivingTerm, t: float, tol: float) -> complex:
-    vals = []
-    for eps in EPS_LEVELS:
-        try:
-            vals.append(_tip_once(term, t, float(eps), tol))
-        except IntegrationError as exc:
-            raise TraceError(f"backward integration blew up at t={t!r}, eps={eps!r}") from exc
-    return _richardson(vals)
-
-
-def _backward_rhs(s, l):
-    """Right-hand side of the backward equation ds/du = -2 / (s - l), l = lambda(t - u)."""
-    return -2.0 / (s - l)
-
-
-def _tip_once(term: DrivingTerm, t: float, eps: float, tol: float) -> complex:
     lam = term.value
-    res = solve_scalar(_backward_rhs, lambda u: lam(t - u), 0.0, complex(lam(t), eps), t,
-                       tol=tol, record=False)
-    return complex(res.values[-1])
+    lam_t = lam(t)
 
+    def drive(tau):
+        # clamped, as exp(log t) may pass t by an ulp; near u0 the offset t - s
+        # sampled is up to an ulp of t off u, O(1) in D where lam is singular at t
+        s = t - min(math.exp(tau), t)
+        return (lam(s) - lam_t) / math.sqrt(t - s)
 
-def _richardson(vals) -> complex:
-    """Extrapolate a halving-eps sequence with empirically estimated order."""
-    v = list(vals)
-    if len(v) < 3:
-        return v[-1]
-    d_prev = v[-2] - v[-3]
-    d_last = v[-1] - v[-2]
-    if abs(d_last) < 1e-15 or abs(d_prev) <= abs(d_last):
-        return v[-1]
-    order = math.log2(abs(d_prev) / abs(d_last))
-    order = min(max(order, 0.5), 4.0)
-    return v[-1] + d_last / (2.0 ** order - 1.0)
+    tau0 = math.log(t * sys.float_info.epsilon)
+    d0 = drive(tau0)
+    if not 16.0 - d0 * d0 > 0.0:
+        raise TraceError(f"no slit tip at t={t!r}: the backward profile has no upper root "
+                         f"at D0={d0!r} (|D0| >= 4)")
+    y0 = complex(0.5 * d0, 0.5 * math.sqrt(16.0 - d0 * d0))
+    try:
+        res = solve_scalar(_blown_up_rhs, drive, tau0, y0, math.log(t), tol=tol, record=False)
+    except IntegrationError as exc:
+        raise TraceError(f"backward integration blew up at t={t!r}") from exc
+    return lam_t + math.sqrt(t) * complex(res.values[-1])

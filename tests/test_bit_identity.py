@@ -57,7 +57,9 @@ def test_disk_boundary_sample_on_sampled_term_is_pinned():
 
 def test_trace_tip_is_pinned():
     tip = extract_trace(TangentTerm(1.0), [0.01])[0][1]
-    assert (tip.real.hex(), tip.imag.hex()) == ("0x1.1a9c8ddb927c1p-1", "0x1.544107afd3c0ep-3")
+    assert (tip.real.hex(), tip.imag.hex()) == ("0x1.1a9c8b1d91195p-1", "0x1.54410f0f91facp-3")
+    # the tangent slit is the circle |z - i| = 1
+    assert abs(abs(tip - 1j) - 1.0) <= 2e-8
 
 
 def _digest(traj) -> str:

@@ -211,6 +211,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for grid in ("lin:0.1:inf:3", "log:0.1:inf:3", "lin:-inf:1:3", "0.1,nan", "0.1,inf,0.2"):
         assert main(["trace", "--term", "sqrt:1", "--t-grid", grid,
                      "--out", str(tmp_path / "t.csv")]) == 2
+    # times past the term's domain, rejected before any solve or output file
+    out = tmp_path / "d.csv"
+    for args in (["trace", "--term", "tangent:1", "--t-grid", "0.01,0.1"],
+                 ["evolve", "--geometry", "halfplane", "--term", "lind:4", "--start", "2",
+                  "--t-end", "2"],
+                 ["singular", "--term", "lind:4", "--t-end", "2"],
+                 ["convert", "--direction", "h2d", "--term", "lind:4", "--start", "2",
+                  "--t-grid", "0,0.5,2"]):
+        assert main(args + ["--out", str(out)]) == 2
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("tol", ["0", "-1e-10", "nan", "inf"])
@@ -244,11 +254,13 @@ def test_grid_sizes_are_capped_before_any_array_is_built(tmp_path, monkeypatch):
 
 
 def test_computational_failure_exits_one(tmp_path, capsys):
-    # t-end beyond the lind domain is a domain (computational) failure
-    rc = main(["evolve", "--geometry", "halfplane", "--term", "lind:4",
-               "--start", "2", "--t-end", "2.0", "--out", str(tmp_path / "x.csv")])
+    # at t = 1 the lind:4.5 driving point is no slit tip: the backward profile
+    # has no upper root, a computational failure, and no file is written
+    out = tmp_path / "x.csv"
+    rc = main(["trace", "--term", "lind:4.5", "--t-grid", "1", "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_nan_t_end_is_rejected(tmp_path, capsys):

@@ -208,7 +208,8 @@ def test_benchmark_patch_points_resolve_and_restore():
         tracer.run_job(0, lambda _: (evolve_boundary(Lind(4.0), 2.0, 0.5),
                                      evolve_disk_boundary(Constant(0.0), 2.0, 0.5),
                                      extract_trace(Constant(0.0), [0.25])), None)
-        assert tracer.totals["integrate.solve_scalar"][0] == 5  # 1 + 1 + 3 eps levels
+        # one solve each: evolve, disk and the trace tip
+        assert tracer.totals["integrate.solve_scalar"][0] == 3
         # the threshold experiment reaches evolve_boundary through critical's
         # global, once per verdict
         tracer.run_job(1, collision_threshold_experiment, [3.6, 4.2])
