@@ -18,38 +18,33 @@ Each real-number operation is the same IEEE operation on the same operands as
 in an f(t, y) stepper whose f evaluates lambda itself, so results are
 bit-identical; only the repeated evaluations are gone.
 
-A solve that lands on dense capture times takes one capped step per capture
-interval, each starting on the previous capture time (or t0) and ending on
-the next one. Given ``lam_values``, the vectorized form of ``lam``, such steps
-are taken in a capture run: an inner loop over the rows of a block table,
-one row per capture interval holding the six driving values of its step
-(stages 2-5, t + h and the target; stage 7 takes the target's value, which
-is stage 6's whenever the two times agree), its h = target - t and its
-target. Rows are filled in blocks of ``_BLOCK_ROWS`` intervals by one
-``lam_values`` call each, the first time a run reaches a row the current
-block lacks, so the table's memory is bounded whatever the number of
-captures.
+Every step, rejected or accepted, is taken by one step body that reads a
+row (l2, l3, l4, l5, l6, l7, h, t_new): the driving values of stages 2-7, the
+step size and the step's end. A row comes from one of two sources.
 
-A run starts whenever t is the previous capture time (or t0), and it fixes
-the step proposal hp = max(h_prop, H_FLOOR) for its whole length: a capped
-step never changes h_prop, so hp is what the general step would use at every
-row. A row is stepped when t + hp reaches its target (the general step's
-capping test), and the run ends on the first row it does not reach, on a
-rejected step (h_prop then shrinks as in the general step), at a collision,
-or at t_end. A run that ends before t_end without a collision hands over to
-one general step from the same t, so a run never restarts where it ended, and
-every pass of the solve loop takes at least one step. Results are bit-identical
-to the general step's: the row's stage times, h and target are the stepper's
-own IEEE operations (t + c*h and t + h with h = target - t), ``lam_values``
-returns ``lam`` of each time bit for bit, ``tolist`` hands them over as
-Python floats, and the stage lines are the general step's. The error norm
-keeps |y_new| as the next step's |y| and takes the larger of the two with a
-comparison instead of ``max``, which picks the same operand; the error and
-gap tests are written as ``not err_norm <= 1.0`` and ``not delta <= gap <
-inf``, which decide alike for every err_norm >= 0 or NaN and every gap.
-Every other step, including uncapped steps, capped steps that start between
-captures and the retries of rejected steps, and the collision refinement
-call ``lam`` per stage time.
+* Capture runs. A solve that lands on dense capture times takes one capped
+  step per capture interval, each starting on the previous capture time (or
+  t0) and ending on the next one. Given ``lam_values``, the vectorized form
+  of ``lam``, such steps read their rows from a block table, one row per
+  capture interval, with h = target - t and the values at stages 2-5, t + h
+  and the target. Rows are filled in blocks of ``_BLOCK_ROWS`` intervals by
+  one ``lam_values`` call each, the first time a run reaches a row the
+  current block lacks, so the table's memory is bounded whatever the number
+  of captures. A run starts whenever t is the previous capture time (or t0)
+  and the step proposal hp = max(h_prop, H_FLOOR) reaches the next capture.
+  It keeps hp for its whole length, since a capped step never changes
+  h_prop, and ends on the first row hp does not reach, on a rejected step,
+  at a collision or at t_end.
+* Single rows. Every other step builds its one row from ``lam`` calls at its
+  own stage times: uncapped steps, capped steps that start between captures
+  or that do not start a run, and the retries of rejected steps, whose
+  proposal has shrunk below the row's h.
+
+The two sources give the same bits: the table's stage times, h and target
+are the stepper's own IEEE operations (t + c*h and t + h), ``lam_values``
+returns ``lam`` of each time bit for bit, and ``tolist`` hands them over as
+Python floats. The step proposal grows only after a step that ended short
+of its capture target and of t_end.
 
 Two further features are tailored to Loewner dynamics:
 
@@ -186,8 +181,7 @@ def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
     if not t_end >= t:  # NaN fails too
         raise ValueError("t_end must be >= t0")
 
-    cap = np.unique(np.asarray([] if capture is None else capture, dtype=float))
-    cap = cap[(cap > t) & (cap <= t_end)]
+    cap = _capture_times(capture, t, t_end)
     # capped step icap runs from edges[icap] (the previous capture, or t0) to
     # edges[icap + 1]; its row of the block table is icap - row0. A last
     # capture at t_end ends the edges: a run stops after it, with no empty row
@@ -209,122 +203,74 @@ def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
         return _result(times, values, swallowed_at=None, n_steps=0)
 
     k1 = rhs(y, l1)
-    scale0 = tol + tol * abs(y)
+    ay = abs(y)
+    scale0 = tol + tol * ay
     d0 = abs(k1)
     h_prop = min((t_end - t) / 10.0, 0.01 * scale0 / d0 if d0 > 0 else (t_end - t) / 10.0)
     h_prop = max(h_prop, h_floor)
 
     n_steps = 0
     while t < t_end:
-        if edges is not None and t == (cap[icap - 1] if icap else t_first):
-            # capture run (see the module docstring): capped steps from one
-            # capture time to the next, one row of the block table each
-            hp = max(h_prop, h_floor)
-            ay = abs(y)
-            while True:
-                if not row0 <= icap < row1:
-                    if not t + hp >= (cap[icap] if icap < n_cap else t_end):
-                        break
-                    row0, row1 = icap, icap + _BLOCK_ROWS
-                    block = _stage_block(lam_values, edges[row0:row1 + 1])
-                for l2, l3, l4, l5, l6, l7, h, target in block[icap - row0:]:
-                    if not t + hp >= target:
-                        break
-                    if n_steps >= max_steps:
-                        raise IntegrationError("step budget exhausted", t, y)
-                    k2 = rhs(y + h * (a21 * k1), l2)
-                    k3 = rhs(y + h * (a31 * k1 + a32 * k2), l3)
-                    k4 = rhs(y + h * (a41 * k1 + a42 * k2 + a43 * k3), l4)
-                    k5 = rhs(y + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4), l5)
-                    k6 = rhs(y + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5), l6)
-                    y_new = y + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
-                    k7 = rhs(y_new, l7)
-                    err = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
-                    ay_new = abs(y_new)
-                    err_norm = abs(err) / (tol + tol * (ay_new if ay_new > ay else ay))
-                    n_steps += 1
-                    # for err_norm >= 0 or NaN, the same test as the general step's
-                    if not err_norm <= 1.0:
-                        if h <= h_floor:
-                            raise IntegrationError(
-                                "step size underflow (floor hit before tolerance)", t, y)
-                        h_prop = (h * max(0.1, 0.9 * err_norm ** -0.2) if math.isfinite(err_norm)
-                                  else h * 0.1)
-                        break
-                    if gap is not None:
-                        g_new = gap(y_new, l7)
-                        if not delta <= g_new < math.inf:  # below delta, inf or NaN
-                            tau, y_tau = _refine_crossing(gap, lam, delta, t, y, k1, target,
-                                                          y_new, k7)
-                            times.append(tau)
-                            values.append(y_tau)
-                            return _result(times, values, swallowed_at=tau, n_steps=n_steps)
-                    t, y, k1, ay = target, y_new, k7, ay_new
-                    icap += 1
-                    if record:
-                        times.append(t)
-                        values.append(y)
-                else:
-                    if t < t_end:
-                        continue  # on to the next block
-                break
-            if t >= t_end:
-                break
-            # the run ended before t_end: one general step from the same t
-
-        if n_steps >= max_steps:
-            raise IntegrationError("step budget exhausted", t, y)
-
-        h = max(h_prop, h_floor)
+        hp = max(h_prop, h_floor)
         target = cap[icap] if icap < n_cap else t_end
-        capped = t + h >= target
-        if capped:
-            h = target - t
-        floored = h <= h_floor
-
-        # the stage lines of the run above with each lam call inline: held in
-        # locals first, they cost uncapped solves about 2%. c6 = c7 = 1: stage
-        # 6 sits at t + h, and so does stage 7 unless a capped step's target
-        # differs from t + h by rounding
-        k2 = rhs(y + h * (a21 * k1), lam(t + c2 * h))
-        k3 = rhs(y + h * (a31 * k1 + a32 * k2), lam(t + c3 * h))
-        k4 = rhs(y + h * (a41 * k1 + a42 * k2 + a43 * k3), lam(t + c4 * h))
-        k5 = rhs(y + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4), lam(t + c5 * h))
-        t_h = t + h
-        l6 = lam(t_h)
-        k6 = rhs(y + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5), l6)
-        y_new = y + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
-        t_new = target if capped else t_h
-        l7 = l6 if t_new == t_h else lam(t_new)
-        k7 = rhs(y_new, l7)
-        err = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
-        err_norm = abs(err) / (tol + tol * max(abs(y), abs(y_new)))
-        n_steps += 1
-
-        if err_norm > 1.0 or not math.isfinite(err_norm):
-            if floored:
-                raise IntegrationError("step size underflow (floor hit before tolerance)", t, y)
-            h_prop = h * max(0.1, 0.9 * err_norm ** -0.2) if math.isfinite(err_norm) else h * 0.1
-            continue
-
-        if gap is not None:
-            g_new = gap(y_new, l7)
-            if g_new < delta or not math.isfinite(g_new):
-                tau, y_tau = _refine_crossing(gap, lam, delta, t, y, k1, t_new, y_new, k7)
-                times.append(tau)
-                values.append(y_tau)
-                return _result(times, values, swallowed_at=tau, n_steps=n_steps)
-
-        t, y, k1 = t_new, y_new, k7
-        if icap < n_cap and t >= cap[icap]:
-            icap += 1
-        if record:
-            times.append(t)
-            values.append(y)
-
-        if not capped:
-            factor = 5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm ** -0.2)
-            h_prop = h * factor
+        capped = t + hp >= target
+        if capped and edges is not None and t == (cap[icap - 1] if icap else t_first):
+            # capture run (see the module docstring): the rows of the block
+            # table from this capture interval on
+            if not row0 <= icap < row1:
+                row0, row1 = icap, icap + _BLOCK_ROWS
+                block = _stage_block(lam_values, edges[row0:row1 + 1])
+            rows = block[icap - row0:]
+        else:
+            # one row from lam at the stage times. c6 = c7 = 1: stage 6 sits
+            # at t + h, and so does stage 7 unless a capped step's target
+            # differs from t + h by rounding
+            h = target - t if capped else hp
+            l2, l3, l4, l5 = lam(t + c2 * h), lam(t + c3 * h), lam(t + c4 * h), lam(t + c5 * h)
+            t_h = t + h
+            l6 = lam(t_h)
+            t_new = target if capped else t_h
+            rows = ((l2, l3, l4, l5, l6, l6 if t_new == t_h else lam(t_new), h, t_new),)
+        for l2, l3, l4, l5, l6, l7, h, t_new in rows:
+            if not t + hp >= t_new:  # the next capture lies beyond the proposal
+                break
+            if n_steps >= max_steps:
+                raise IntegrationError("step budget exhausted", t, y)
+            k2 = rhs(y + h * (a21 * k1), l2)
+            k3 = rhs(y + h * (a31 * k1 + a32 * k2), l3)
+            k4 = rhs(y + h * (a41 * k1 + a42 * k2 + a43 * k3), l4)
+            k5 = rhs(y + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4), l5)
+            k6 = rhs(y + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5), l6)
+            y_new = y + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+            k7 = rhs(y_new, l7)
+            err = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
+            ay_new = abs(y_new)
+            # max(|y|, |y_new|) without the call to max, which costs 5-10% on
+            # capture-bound solves
+            err_norm = abs(err) / (tol + tol * (ay_new if ay_new > ay else ay))
+            n_steps += 1
+            if not err_norm <= 1.0:  # NaN fails too
+                if h <= h_floor:
+                    raise IntegrationError("step size underflow (floor hit before tolerance)",
+                                           t, y)
+                h_prop = (h * max(0.1, 0.9 * err_norm ** -0.2) if math.isfinite(err_norm)
+                          else h * 0.1)
+                break
+            if gap is not None:
+                g_new = gap(y_new, l7)
+                if not delta <= g_new < math.inf:  # below delta, inf or NaN
+                    tau, y_tau = _refine_crossing(gap, lam, delta, t, y, k1, t_new, y_new, k7)
+                    times.append(tau)
+                    values.append(y_tau)
+                    return _result(times, values, swallowed_at=tau, n_steps=n_steps)
+            t, y, k1, ay = t_new, y_new, k7, ay_new
+            if t < target:  # an uncapped step: a run's rows end on or past target
+                h_prop = h * (5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm ** -0.2))
+            else:
+                icap += 1
+            if record:
+                times.append(t)
+                values.append(y)
 
     if not record:
         times.append(t)
@@ -366,8 +312,7 @@ def solve_singular_branch(lam, p: float, t_end: float, *, tol: float,
         raise ValueError(f"onset exponent p={p!r} is not in (0, 1/2)")
     if not 0.0 < t_end < math.inf:  # NaN fails too
         raise ValueError("t_end must be finite and > 0")
-    cap = np.unique(np.asarray([] if capture is None else capture, dtype=float))
-    cap = cap[(cap > 0.0) & (cap <= t_end)].tolist()
+    cap = _capture_times(capture, 0.0, t_end).tolist()
     n_cap = len(cap)
     icap = 0
     max_steps = MAX_STEPS
@@ -460,6 +405,14 @@ def _stage_block(lam_values, edges: np.ndarray) -> list[list[float]]:
     h = en - st
     ts = np.concatenate((st + _STAGE_C * h, st + h, en), axis=1)
     return np.concatenate((lam_values(ts.ravel()).reshape(ts.shape), h, en), axis=1).tolist()
+
+
+def _capture_times(capture, t0: float, t_end: float) -> np.ndarray:
+    """The distinct capture times in (t0, t_end], sorted. Kept as an array:
+    turned into a list, they would cost solve_scalar's block table edges a
+    conversion back (about 0.2 ms per 5000 captures)."""
+    cap = np.unique(np.asarray([] if capture is None else capture, dtype=float))
+    return cap[(cap > t0) & (cap <= t_end)]
 
 
 def _check_tol(tol) -> None:

@@ -38,6 +38,10 @@ def extract_trace(term: DrivingTerm, t_grid, tol: float = 1e-8) -> list[tuple[fl
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0):
         raise ValueError("t_grid must contain positive times")
+    subnormal = grid[grid < sys.float_info.min]
+    if subnormal.size:  # the solve starts at t * (float epsilon), which underflows to 0
+        raise ValueError(f"t={float(subnormal[0])!r} is subnormal: "
+                         "no slit tip can be traced that close to 0")
     term.check_covers(float(np.max(grid)))
     return [(float(t), _tip(term, float(t), tol)) for t in grid]
 

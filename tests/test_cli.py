@@ -253,6 +253,13 @@ def test_grid_sizes_are_capped_before_any_array_is_built(tmp_path, monkeypatch):
     assert time.perf_counter() - start < 5.0
 
 
+def test_subnormal_trace_time_exits_two(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(["trace", "--term", "sqrt:1", "--t-grid", "1e-310", "--out", str(out)]) == 2
+    assert "t=1e-310 is subnormal" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_computational_failure_exits_one(tmp_path, capsys):
     # at t = 1 the lind:4.5 driving point is no slit tip: the backward profile
     # has no upper root, a computational failure, and no file is written

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loewner import integrate
 from loewner.driving import DrivingTerm, Lind, Scaled, Sqrt
@@ -159,6 +160,44 @@ def test_block_table_changes_no_bit(case, block_rows, monkeypatch):
     assert (res.swallowed_at, res.n_steps) == (ref.swallowed_at, ref.n_steps)
     # six values per capped step, at most _BLOCK_ROWS steps per block
     assert blocks and max(blocks) <= 6 * block_rows
+
+
+@st.composite
+def _capture_layouts(draw):
+    """(t0, capture) for a Lind(4) solve from 2 to t_end = 1, where it is
+    swallowed: sorted random captures, some repeated, some before t0 and
+    maybe one at t_end, and a cluster accumulating at the collision, where a
+    capture run's frozen proposal fails the error test."""
+    t0 = draw(st.floats(0.0, 0.5))
+    times = st.floats(-0.1, 1.0)
+    spread = draw(st.lists(times, max_size=30))
+    repeats = draw(st.lists(st.sampled_from(spread), max_size=3)) if spread else []
+    at_end = [1.0] if draw(st.booleans()) else []
+    far, near = draw(st.floats(1e-3, 0.3)), draw(st.floats(1e-9, 1e-4))
+    cluster = 1.0 - np.geomspace(far, near, draw(st.integers(40, 200)))
+    return t0, np.sort(np.concatenate((spread, repeats, at_end, cluster)))
+
+
+@settings(max_examples=40)
+@given(layout=_capture_layouts(), block_rows=st.sampled_from([1, 3, 256]))
+def test_block_table_changes_no_bit_for_random_layouts(layout, block_rows):
+    t0, capture = layout
+    term = Lind(4.0)
+    kinds = set()
+
+    def rhs(y, l):
+        kinds.add(type(l))
+        return 2.0 / (y - l)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrate, "_BLOCK_ROWS", block_rows)
+        ref, res = (solve_scalar(rhs, term.value, t0, 2.0, 1.0, tol=1e-10, gap=_hp_gap,
+                                 capture=capture, lam_values=lam_values)
+                    for lam_values in (None, term.values))
+    assert kinds == {float}
+    assert res.times.tobytes() == ref.times.tobytes()
+    assert res.values.tobytes() == ref.values.tobytes()
+    assert (res.swallowed_at, res.n_steps) == (ref.swallowed_at, ref.n_steps)
 
 
 def _step_kinds(term, t0, y0, t_end, capture, tol):

@@ -219,3 +219,14 @@ def test_benchmark_patch_points_resolve_and_restore():
         tracer.uninstall()
     for owner, attr, original in patches:
         assert getattr(owner, attr) is original
+
+
+def test_solve_scalar_holds_one_step_body():
+    # one Dormand-Prince step calls rhs for k1 once per solve and for k2..k7
+    # per step: a second copy of the step body would show as more calls
+    tree = ast.parse((PACKAGE / "integrate.py").read_text())
+    (solve,) = (node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "solve_scalar")
+    calls = [node for node in ast.walk(solve) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "rhs"]
+    assert len(calls) == 7

@@ -3,22 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from loewner import Constant, Lind, Sqrt, TraceError
+from loewner import Constant, FromCallable, Lind, Sqrt, TraceError
 from loewner.halfplane import evolve_interior
 from loewner.tangent import TangentTerm
 from loewner.trace import extract_trace
-
-
-def forward_consistency(term, t: float, tip: complex, tol: float = 1e-10) -> float:
-    """Distance |h(tip, t) - lambda(t)| after evolving a computed tip forward.
-
-    The exact tip maps to the driving point; the square-root behavior of the
-    map near the slit amplifies a tip error e to a gap of order sqrt(t * e).
-    """
-    traj = evolve_interior(term, tip, t, tol)
-    return abs(complex(traj.final_value) - term.value(traj.final_time))
 
 
 def test_vertical_slit_tips():
@@ -38,8 +28,10 @@ def _tilted_slit_tip(c: float, t: float) -> complex:
 
 @settings(max_examples=60)
 @given(c=st.floats(-3.9, 3.9), e=st.floats(-6.0, 1.0))
+@example(c=1.0, e=-300.0)
 def test_self_similar_driving_gives_straight_ray(c, e):
-    # lambda = c*sqrt(t) draws a straight slit; t = 10**e, log-uniform
+    # lambda = c*sqrt(t) draws a straight slit; t = 10**e, log-uniform, and
+    # t = 1e-300, whose solve starts on a subnormal time t * (float epsilon)
     t = 10.0 ** e
     ((_, tip),) = extract_trace(Sqrt(c), [t], tol=1e-8)
     exact = _tilted_slit_tip(c, t)
@@ -78,13 +70,20 @@ def test_tangent_tips_on_unit_circle_about_i():
         assert abs(abs(tip - 1j) - 1.0) <= 1e-7
 
 
-def test_forward_consistency_of_tips():
-    # these tips are exact to rounding, and an exact tip flows onto the
-    # driving point, where the forward flow is singular: the forward solve's
-    # own step error leaves a gap of about 1e-4, well under 1e-2
-    tips = extract_trace(Constant(0.0), [0.25, 1.0], tol=1e-8)
-    for t, tip in tips:
-        assert forward_consistency(Constant(0.0), t, tip) < 1e-2
+def test_tips_obey_the_semigroup_identity():
+    # g_t = g'_(t-s) o g_s, where g' is driven by lambda(s + .): the forward
+    # flow to time s carries the tip at t onto the tip at t - s of the
+    # shifted term, away from the driving point, where the flow is regular
+    for term, t in ((Sqrt(1.0), 1.0), (Sqrt(-2.5), 1.0), (Lind(3.0), 1.0),
+                    (TangentTerm(1.0), 0.05)):
+        ((_, tip),) = extract_trace(term, [t])
+        for s in (t / 4, t / 2, 0.9 * t):
+            end = term.domain_end
+            shifted = FromCallable(lambda u, s=s, term=term: term.value(s + u),
+                                   None if end is None else end - s)
+            ((_, later),) = extract_trace(shifted, [t - s])
+            moved = complex(evolve_interior(term, tip, s).final_value)
+            assert abs(moved - later) <= 1e-6 * abs(later)
 
 
 def test_tolerance_refinement_is_cauchy():
@@ -108,3 +107,9 @@ def test_consecutive_tips_converge_under_grid_refinement():
 def test_rejects_nonpositive_times():
     with pytest.raises(ValueError):
         extract_trace(Constant(0.0), [0.0, 0.5])
+
+
+def test_rejects_subnormal_times():
+    # below the smallest normal float t * (float epsilon) underflows to 0
+    with pytest.raises(ValueError, match=r"t=1e-310 is subnormal"):
+        extract_trace(Sqrt(1.0), [0.5, 1e-310])
