@@ -9,18 +9,17 @@ and the critical-norm experiments that locate the threshold value 4.
 
 from .driving import (Constant, DrivingTerm, FromCallable, Lind, Sampled, Scaled,
                       Sqrt, load_sampled_csv, parse_term, write_sampled_csv)
-from .errors import (BootstrapError, ConversionDomainError, DomainError, FitError,
-                     IntegrationError, LoewnerError, PoleError, RootFindingError,
-                     TraceError)
+from .errors import (ConversionDomainError, DomainError, FitError, IntegrationError,
+                     LoewnerError, PoleError, RootFindingError, TraceError)
 from .holder import HolderFit, holder_exponent_fit, holder_sup_norm
 from .trajectory import Trajectory, write_trajectory_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BootstrapError", "Constant", "ConversionDomainError", "DomainError",
-    "DrivingTerm", "FitError", "FromCallable", "HolderFit", "IntegrationError",
-    "Lind", "LoewnerError", "PoleError", "RootFindingError", "Sampled", "Scaled",
-    "Sqrt", "TraceError", "Trajectory", "holder_exponent_fit", "holder_sup_norm",
-    "load_sampled_csv", "parse_term", "write_sampled_csv", "write_trajectory_csv",
+    "Constant", "ConversionDomainError", "DomainError", "DrivingTerm", "FitError",
+    "FromCallable", "HolderFit", "IntegrationError", "Lind", "LoewnerError",
+    "PoleError", "RootFindingError", "Sampled", "Scaled", "Sqrt", "TraceError",
+    "Trajectory", "holder_exponent_fit", "holder_sup_norm", "load_sampled_csv",
+    "parse_term", "write_sampled_csv", "write_trajectory_csv",
 ]

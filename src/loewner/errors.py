@@ -20,10 +20,6 @@ class IntegrationError(LoewnerError):
         self.y = y
 
 
-class BootstrapError(LoewnerError):
-    """The square-root ansatz for a singular solution failed to hand off."""
-
-
 class RootFindingError(LoewnerError):
     """A scalar root search did not converge."""
 

@@ -7,20 +7,21 @@ Interior points (Im z > 0) flow until they either survive to t_end or collide
 with the driving term (swallowing). Real points x != lambda(0) obey the same
 ODE on the line. The two singular solutions h-(t) <= lambda(t) <= h+(t) start
 at the singular point lambda(0) itself and bound the interval swallowed by
-time t; for a Lip(1/2) term they behave like lambda(0) +- A*sqrt(t) near 0
-and are computed by a square-root ansatz handoff into the adaptive integrator.
+time t.
 
-A term whose onset lambda(t) - lambda(0) ~ t**p has p < 1/2
-(``DrivingTerm.onset_exponent``; 1/3 for the tangent circular slit) makes
-the upper solution stiff at 0: there h+ - lambda ~ t**(1 - p) while lambda
-moves like t**p, so the relaxation rate 2/(h+ - lambda)**2 grows like
-t**(2p - 2) (0.62 t**(-4/3) for the tangent slit) and holds an explicit
-stepper at its stability limit. That branch, started at t = 0, is integrated
-by ``integrate.solve_singular_branch``: implicit SDIRK steps in the
-self-similar variables tau = log t, Y = (h - lambda(0))/t**p, each stage a
-quadratic solved in closed form. The lower solution moves away from lambda
-like t**p and is not stiff, so it, every p = 1/2 term and every restart at
-t_start > 0 keep the explicit path.
+Both leave the singular point through ``integrate.solve_singular_branch``:
+implicit SDIRK steps in the self-similar variables tau = log t,
+Y = (h - lambda(0))/t**q, each stage a quadratic solved in closed form. A
+term whose onset lambda(t) - lambda(0) ~ t**p has p <= 1/2
+(``DrivingTerm.onset_exponent``; 1/3 for the tangent circular slit) has
+h+ - lambda(0) ~ t**p and h- - lambda(0) ~ t**(1 - p), so q = p for h+ and
+q = 1 - p for h-; for p = 1/2 both behave like +-A*sqrt(t). For p < 1/2 the
+upper solution is stiff at 0: there h+ - lambda ~ t**(1 - p), so the
+relaxation rate 2/(h+ - lambda)**2 grows like t**(2p - 2) (0.62 t**(-4/3)
+for the tangent slit) and would hold an explicit stepper at its stability
+limit. That branch stays implicit up to t_end. Every other branch, and
+every restart at t_start > 0 (taken with p = 1/2), hands over to the
+explicit ``solve_scalar`` at its first capture time (or at t_end).
 """
 
 from __future__ import annotations
@@ -33,16 +34,9 @@ import numpy as np
 
 from . import integrate
 from .driving import DrivingTerm
-from .errors import BootstrapError, DomainError, IntegrationError, LoewnerError
+from .errors import DomainError, LoewnerError
 from .integrate import solve_scalar
 from .trajectory import Trajectory
-
-#: handoff time t0 of the singular-solution ansatz
-BOOTSTRAP_T0 = 1e-8
-
-#: the ansatz is seeded this much earlier than t0 and integrated up to t0
-_SEED_REFINEMENT = 256.0
-
 
 @dataclass(frozen=True)
 class SwallowedInterval:
@@ -126,29 +120,14 @@ def evolve_boundary(term: DrivingTerm, x0: float, t_end: float, tol: float = 1e-
     return _evolve(term, x0, t_end, tol, capture, record)
 
 
-def _sqrt_ansatz(term: DrivingTerm, t_start: float, sign: int, dt: float) -> float:
-    """Square-root ansatz value of the singular solution at t_start + dt.
-
-    Solves the stationarity relation of the ratio ODE with the local driving
-    increment d = lambda(t_start + dt) - lambda(t_start):
-    h+- = lambda(t_start) + d/2 +- sqrt(d**2/4 + 4 dt). Exact for lambda(t_start + s)
-    = lambda(t_start) + c*sqrt(s), asymptotically correct otherwise.
-    """
-    lam_s = term.value(t_start)
-    d = term.value(t_start + dt) - lam_s
-    return lam_s + 0.5 * d + sign * math.sqrt(0.25 * d * d + 4.0 * dt)
-
-
 def _singular(term: DrivingTerm, sign: int, t_start: float, t_end: float, tol: float,
               capture=None) -> Trajectory:
     """Singular solution on the side ``sign`` started at (t_start, lambda(t_start)).
 
-    The stiff branch (h+ from t_start = 0 of a term with onset exponent
-    p < 1/2) goes to ``integrate.solve_singular_branch``, which starts from
-    the square-root ansatz at ``integrate.SEED_FRACTION`` of the first
-    capture time (or of t_end) and lands on the capture times. Every other
-    branch is seeded by the ansatz at dt_seed / _SEED_REFINEMENT, integrated
-    up to the handoff time dt_seed and then to t_end by ``solve_scalar``.
+    The branch solve (see the module docstring) runs in u = t - t_start under
+    the driving term u -> lambda(t_start + u). Unless it is stiff, it stops at
+    the first capture time t1 (or t_end), and one ``solve_scalar`` from t1
+    takes the remaining captures.
     """
     term.check_covers(t_end)
     if t_end < t_start:
@@ -158,44 +137,19 @@ def _singular(term: DrivingTerm, sign: int, t_start: float, t_end: float, tol: f
         return Trajectory(np.array([t_start]), np.array([lam_start]))
 
     cap = np.asarray([] if capture is None else capture, dtype=float)
-    if sign > 0 and t_start == 0.0 and term.onset_exponent < 0.5:
-        res = integrate.solve_singular_branch(term.value, term.onset_exponent, t_end,
-                                              tol=tol, capture=cap)
-        return Trajectory(np.concatenate(([0.0], res.times)),
-                          np.concatenate(([lam_start], res.values)))
-
-    span = t_end - t_start
-    cap_rel = cap[cap > t_start] - t_start
-    dt_seed = min(BOOTSTRAP_T0, span / 4.0)
-    if cap_rel.size:
-        dt_seed = min(dt_seed, float(cap_rel.min()) / 4.0)
-    dt_fine = dt_seed / _SEED_REFINEMENT
-
-    # seed early and integrate up to the handoff time; when that solve fails,
-    # the direct ansatz at the handoff is used
-    y_fine = _sqrt_ansatz(term, t_start, sign, dt_fine)
-    try:
-        res0 = solve_scalar(_rhs, term.value, t_start + dt_fine, y_fine,
-                            t_start + dt_seed, tol=tol, record=False)
-        y_seed = res0.values[-1]
-    except IntegrationError:
-        y_seed = _sqrt_ansatz(term, t_start, sign, dt_seed)
-    lam_seed = term.value(t_start + dt_seed)
-    gap_seed = sign * (y_seed - lam_seed)
-    gap_ansatz = sign * (_sqrt_ansatz(term, t_start, sign, dt_seed) - lam_seed)
-    if not math.isfinite(y_seed) or gap_seed <= 0:
-        raise BootstrapError(
-            f"singular bootstrap left its side at t={t_start + dt_seed!r}")
-    if gap_ansatz > 0 and abs(gap_seed - gap_ansatz) > 0.9 * gap_ansatz:
-        raise BootstrapError(
-            "square-root ansatz residual above tolerance after refinement "
-            f"(relative gap mismatch {abs(gap_seed - gap_ansatz) / gap_ansatz:.2f})")
-
-    res = solve_scalar(_rhs, term.value, t_start + dt_seed, y_seed, t_end, tol=tol,
-                       capture=cap, lam_values=term.values)
-    times = np.concatenate(([t_start], res.times))
-    values = np.concatenate(([lam_start], res.values.astype(float)))
-    return Trajectory(times, values)
+    if t_start == 0.0:
+        p, lam = term.onset_exponent, term.value
+    else:
+        p, lam = 0.5, lambda u: term.value(t_start + u)
+    stiff = sign > 0 and p < 0.5
+    t1 = t_end if stiff else float(np.min(cap[cap > t_start], initial=t_end))
+    res = integrate.solve_singular_branch(lam, p if sign > 0 else 1.0 - p, t1 - t_start,
+                                          sign=sign, tol=tol, capture=cap if stiff else None)
+    if not stiff:
+        res = solve_scalar(_rhs, term.value, t1, res.values[-1], t_end, tol=tol,
+                           capture=cap, lam_values=term.values)
+    return Trajectory(np.concatenate(([t_start], res.times)),
+                      np.concatenate(([lam_start], res.values)))
 
 
 def singular_plus(term: DrivingTerm, t_end: float, tol: float = 1e-10,

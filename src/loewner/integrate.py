@@ -67,9 +67,11 @@ every stage time into ``lam`` and ``rhs``, and numpy scalar arithmetic costs
 about twice as much per operation. Real results are the same IEEE operations
 either way.
 
-``solve_singular_branch`` is a second, implicit stepper for one equation: the
-upper singular solution of the half-plane flow under a driving term whose
-onset exponent is below 1/2, which is stiff at t = 0 (see its docstring).
+``solve_singular_branch`` is a second, implicit stepper for one equation: a
+singular solution of the half-plane flow, which starts on the driving point
+at t = 0, where the flow is singular. It runs in variables blown up at that
+point and is stiff there for the upper solution under a driving term whose
+onset exponent is below 1/2 (see its docstring).
 Both steppers reject a tolerance that is not finite and positive before the
 first step.
 """
@@ -126,8 +128,8 @@ _SD_A = (
 )
 _SD_E = (-3.0 / 16.0, -27.0 / 32.0, 25.0 / 32.0, 0.0, 0.25)
 
-#: the stiff singular branch starts from the square-root ansatz at this
-#: fraction of the first capture time (or of t_end)
+#: every singular branch starts from the square-root ansatz at this
+#: fraction of its first capture time (or of t_end)
 SEED_FRACTION = 1e-12
 
 
@@ -207,11 +209,11 @@ def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
     scale0 = tol + tol * ay
     d0 = abs(k1)
     h_prop = min((t_end - t) / 10.0, 0.01 * scale0 / d0 if d0 > 0 else (t_end - t) / 10.0)
-    h_prop = max(h_prop, h_floor)
 
     n_steps = 0
     while t < t_end:
-        hp = max(h_prop, h_floor)
+        # max(h_prop, h_floor) without the call to max (see err_norm below)
+        hp = h_floor if h_floor > h_prop else h_prop
         target = cap[icap] if icap < n_cap else t_end
         capped = t + hp >= target
         if capped and edges is not None and t == (cap[icap - 1] if icap else t_first):
@@ -278,40 +280,50 @@ def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
     return _result(times, values, swallowed_at=None, n_steps=n_steps)
 
 
-def solve_singular_branch(lam, p: float, t_end: float, *, tol: float,
+def solve_singular_branch(lam, q: float, t_end: float, *, sign: int, tol: float,
                           capture) -> OdeResult:
-    """Upper singular solution of dh/dt = 2 / (h - lam(t)) with h(0) = lam(0),
-    for a driving term with onset exponent p < 1/2 (lam(t) - lam(0) ~ t**p).
+    """Singular solution of dh/dt = 2 / (h - lam(t)) with h(0) = lam(0), on
+    the side ``sign`` of the driving term (+1 above, -1 below), for a branch
+    that leaves lam(0) like t**q, 0 < q < 1.
 
-    The gap h - lam then shrinks like t**(1 - p), and the relaxation rate
-    2/gap**2 outgrows every explicit step as t -> 0: the branch is stiff. It
-    is integrated in the self-similar variables tau = log t and
-    Y = (h - lam(0)) / t**p, where
+    It is integrated in the self-similar variables tau = log t and
+    Y = (h - lam(0)) / t**q, where
 
-        dY/dtau = 2 t**(1 - 2p) / (Y - L) - p*Y,   L = (lam(t) - lam(0)) / t**p,
+        dY/dtau = 2 t**(1 - 2q) / (Y - L) - q*Y,   L = (lam(t) - lam(0)) / t**q,
 
-    by the L-stable SDIRK4 above. Each stage Y_i = B_i + gamma*dtau*f(Y_i)
-    is a quadratic in the stage gap g = Y_i - L_i,
+    by the L-stable SDIRK4 above. For a term with onset exponent p
+    (lam(t) - lam(0) ~ t**p, p <= 1/2) the caller takes q = p for the upper
+    branch and q = 1 - p for the lower one. Y then tends to a fixed point of
+    the profile, and its Jacobian J = df/dY = -2 t**(1 - 2q)/(Y - L)**2 - q
+    stays below -q. For p < 1/2 the upper branch is stiff: its gap shrinks
+    like t**(1 - p), and -J grows like t**(2p - 1), beyond every explicit
+    step as t -> 0. Each stage Y_i = B_i + gamma*dtau*f(Y_i) is a quadratic
+    in the stage gap g = Y_i - L_i,
 
-        q g**2 + (q L_i - B_i) g - 2 gamma dtau t_i**(1 - 2p) = 0,
-        q = 1 + gamma dtau p,
+        m g**2 + (m L_i - B_i) g - 2 gamma dtau t_i**(1 - 2q) = 0,
+        m = 1 + gamma dtau q,
 
-    whose positive root (h stays above lam) is taken in closed form: no
-    Newton iteration and no Jacobian. The error estimate is filtered by
-    1/(1 - gamma dtau J), J = df/dY = -2 t**(1 - 2p)/g**2 - p, and measured
-    in h against tol*(1 + |h|) as in solve_scalar. The solve starts from the
-    square-root ansatz at t_s = SEED_FRACTION times the first capture time
-    (or t_end); the branch is super-attracting, so the start error decays
-    like exp(-C t_s**(2p - 1)). ``lam`` is called once per stage time, and
-    the stepper lands exactly on the capture times in (0, t_end].
+    whose root on the side ``sign`` is taken in closed form: no Newton
+    iteration and no Jacobian. The error estimate is filtered by
+    1/(1 - gamma dtau J) and measured in h against tol*(1 + |h|) as in
+    solve_scalar. The solve starts from the square-root ansatz
+    h = lam(0) + d/2 + sign*sqrt(d**2/4 + 4 t), d = lam(t) - lam(0), at
+    t_s = SEED_FRACTION times the first capture time (or t_end). Since J < -q,
+    the start error decays at least like (t_s/t)**q, and like
+    exp(-C t_s**(2p - 1)) on the stiff branch. ``lam`` is called once per
+    stage time, and the stepper lands exactly on the capture times in
+    (0, t_end].
     """
     _check_tol(tol)
-    p = float(p)
+    q = float(q)
     t_end = float(t_end)
-    if not 0.0 < p < 0.5:
-        raise ValueError(f"onset exponent p={p!r} is not in (0, 1/2)")
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"exponent q={q!r} is not in (0, 1)")
+    if sign not in (-1, 1):
+        raise ValueError(f"sign must be -1 or +1, got {sign!r}")
     if not 0.0 < t_end < math.inf:  # NaN fails too
         raise ValueError("t_end must be finite and > 0")
+    s = float(sign)
     cap = _capture_times(capture, 0.0, t_end).tolist()
     n_cap = len(cap)
     icap = 0
@@ -322,28 +334,29 @@ def solve_singular_branch(lam, p: float, t_end: float, *, tol: float,
     e1, e2, e3, _, e5 = _SD_E
     lam0 = lam(0.0)
 
-    def stage(t_i, b_i, gdt, q):
-        """Stage value Y_i, slope k_i, gap g_i and t_i**p of one implicit stage."""
-        tp_i = t_i ** p
+    def stage(t_i, b_i, gdt, m):
+        """Stage value Y_i, slope k_i, gap g_i and t_i**q of one implicit stage."""
+        tp_i = t_i ** q
         big_l = (lam(t_i) - lam0) / tp_i
         c = 2.0 * gdt * t_i / (tp_i * tp_i)
-        lin = q * big_l - b_i
-        root = math.sqrt(lin * lin + 4.0 * q * c)
-        g_i = 2.0 * c / (lin + root) if lin >= 0.0 else (root - lin) / (2.0 * q)
+        lin = m * big_l - b_i
+        # the root on the side s, each form free of cancellation where it is used
+        root = s * math.sqrt(lin * lin + 4.0 * m * c)
+        g_i = 2.0 * c / (lin + root) if s * lin >= 0.0 else (root - lin) / (2.0 * m)
         y_i = big_l + g_i
         return y_i, (y_i - b_i) / gdt, g_i, tp_i
 
-    # square-root ansatz h = lam0 + d/2 + sqrt(d**2/4 + 4 t), d = lam(t) - lam0
     t = SEED_FRACTION * (cap[0] if n_cap else t_end)
     if t == 0.0:
         raise IntegrationError("seed time underflows to 0", t, lam0)
-    tp = t ** p
+    tp = t ** q
     d = lam(t) - lam0
-    root = math.sqrt(0.25 * d * d + 4.0 * t)
-    gap = 4.0 * t / (0.5 * d + root) if d >= 0.0 else root - 0.5 * d
+    root = s * math.sqrt(0.25 * d * d + 4.0 * t)
+    gap = 4.0 * t / (0.5 * d + root) if s * d >= 0.0 else root - 0.5 * d
     g = gap / tp
     y = d / tp + g
     h = lam0 + d + gap
+    ah = abs(h)
     times = [t]
     values = [h]
 
@@ -362,21 +375,23 @@ def solve_singular_branch(lam, p: float, t_end: float, *, tol: float,
         if not t_new > t:
             raise IntegrationError("step size underflow", t, h)
         gdt = gamma * dtau
-        q = 1.0 + gdt * p
+        m = 1.0 + gdt * q
 
-        _, k1, _, _ = stage(t * math.exp(c1 * dtau), y, gdt, q)
-        _, k2, _, _ = stage(t * math.exp(c2 * dtau), y + dtau * (a21 * k1), gdt, q)
+        _, k1, _, _ = stage(t * math.exp(c1 * dtau), y, gdt, m)
+        _, k2, _, _ = stage(t * math.exp(c2 * dtau), y + dtau * (a21 * k1), gdt, m)
         _, k3, _, _ = stage(t * math.exp(c3 * dtau), y + dtau * (a31 * k1 + a32 * k2),
-                            gdt, q)
+                            gdt, m)
         _, k4, _, _ = stage(t * math.exp(c4 * dtau),
-                            y + dtau * (a41 * k1 + a42 * k2 + a43 * k3), gdt, q)
+                            y + dtau * (a41 * k1 + a42 * k2 + a43 * k3), gdt, m)
         y_new, k5, g_new, tp_new = stage(
-            t_new, y + dtau * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4), gdt, q)
+            t_new, y + dtau * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4), gdt, m)
         h_new = lam0 + tp_new * y_new
-        # 1 - gamma dtau J at the step's start, J = -2 t**(1 - 2p)/g**2 - p
-        filt = 1.0 + gdt * (2.0 * (t / (tp * tp)) / (g * g) + p)
+        # 1 - gamma dtau J at the step's start, J = -2 t**(1 - 2q)/g**2 - q
+        filt = 1.0 + gdt * (2.0 * (t / (tp * tp)) / (g * g) + q)
         err = tp_new * dtau * (e1 * k1 + e2 * k2 + e3 * k3 + e5 * k5) / filt
-        err_norm = abs(err) / (tol + tol * max(abs(h), abs(h_new)))
+        ah_new = abs(h_new)
+        # max(|h|, |h_new|) without the call to max, as in solve_scalar
+        err_norm = abs(err) / (tol + tol * (ah_new if ah_new > ah else ah))
         n_steps += 1
 
         if err_norm > 1.0 or not math.isfinite(err_norm):
@@ -384,7 +399,7 @@ def solve_singular_branch(lam, p: float, t_end: float, *, tol: float,
                          if math.isfinite(err_norm) else dtau * 0.1)
             continue
 
-        t, tp, y, g, h = t_new, tp_new, y_new, g_new, h_new
+        t, tp, y, g, h, ah = t_new, tp_new, y_new, g_new, h_new, ah_new
         if icap < n_cap and t >= cap[icap]:
             icap += 1
         times.append(t)

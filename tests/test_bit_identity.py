@@ -16,6 +16,12 @@ slit's h+(0.01), re-recorded when that stiff branch moved from the explicit
 seed-and-solve path to the implicit SDIRK steps of
 ``integrate.solve_singular_branch``. That value is also held to beta(0.01)
 within 1e-9; the old path's value was 9.3e-11 off, the new one is 4.2e-11 off.
+The Sqrt(2) singular pair was re-recorded when every singular solution
+started leaving the driving point through that stepper, in place of a
+square-root seed integrated by the explicit stepper from 1e-8/256 to 1e-8;
+the new start is the exact ray, so both branches are also held to
+A+- sqrt(t), A+- = 1 +- sqrt(5), within 1e-12 relative on all 3000 captures
+(about 1e-15 now; the old pins were up to 5.8e-8 off).
 """
 
 import hashlib
@@ -100,10 +106,17 @@ def test_holder_norm_of_bridge_term_is_pinned(exponent, pinned):
     assert holder_sup_norm(u.times, u.table_values, exponent).hex() == pinned
 
 
-@pytest.mark.parametrize("solve, digest", [
-    (singular_plus, "9f61f3eef5e74d7084bb918dc86c74ad57918e51c13a90af4cc82bf867b989e1"),
-    (singular_minus, "5e216047728efd1b4ad490dfa5dde54850104808b98861fc77805faed29f0b6b"),
+@pytest.mark.parametrize("solve, sign, digest", [
+    pytest.param(singular_plus, 1.0,
+                 "f100e61ba5d83b344cf31df7da53c745ada0ca75c3ff187c1271f91d65f6128d",
+                 id="singular_plus"),
+    pytest.param(singular_minus, -1.0,
+                 "b82a8647b571816bcaeb53dad833163a77de6475ae9f217c17e46a4b4b59aa0b",
+                 id="singular_minus"),
 ])
-def test_capture_bound_singular_pair_is_pinned(solve, digest):
-    traj = solve(Sqrt(2.0), 1.0, capture=np.geomspace(1e-6, 1.0, 3000))
+def test_capture_bound_singular_pair_is_pinned(solve, sign, digest):
+    grid = np.geomspace(1e-6, 1.0, 3000)
+    traj = solve(Sqrt(2.0), 1.0, capture=grid)
     assert _digest(traj) == digest
+    ray = (1.0 + sign * np.sqrt(5.0)) * np.sqrt(grid)
+    assert np.max(np.abs(traj.values_at(grid) / ray - 1.0)) <= 1e-12

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loewner import (Constant, DomainError, FromCallable, IntegrationError, Lind, LoewnerError,
                      Scaled, Sqrt)
@@ -104,16 +104,21 @@ def test_singular_constant_pm_two_sqrt_t():
         assert minus.value_at(t) == pytest.approx(-2 * math.sqrt(t), abs=1e-6)
 
 
-def test_singular_sqrt_family_is_exact_ray():
-    # for lambda = c sqrt(t) the upper singular solution is A sqrt(t) with
-    # A = (c + sqrt(c^2 + 16))/2; substitution: (A sqrt(t))' = A/(2 sqrt t)
-    # equals 2/((A - c) sqrt t) iff A^2 - cA - 4 = 0
-    c = 1.0
-    A = sharp_ratio_bound(c)
-    assert A * A - c * A - 4.0 == pytest.approx(0.0, abs=1e-12)
-    assert A == pytest.approx((1 + math.sqrt(17)) / 2, abs=1e-14)
-    plus = singular_plus(Sqrt(c), 1.0, tol=1e-12)
-    assert plus.final_value == pytest.approx(A, rel=1e-4)
+@settings(max_examples=30)
+@given(c=st.floats(-3.9, 3.9))
+def test_singular_sqrt_family_is_exact_ray(c):
+    # for lambda = c sqrt(t) the singular solutions are A+- sqrt(t) with
+    # A+- = (c +- sqrt(c^2 + 16))/2; substitution: (A sqrt(t))' = A/(2 sqrt t)
+    # equals 2/((A - c) sqrt t) iff A^2 - cA - 4 = 0. The branch starts on
+    # that ray, its fixed point; on dense captures every step is short, so
+    # the start is all the tolerance measures
+    grid = np.geomspace(1e-6, 1.0, 3000)
+    for solve, sign in ((singular_plus, 1.0), (singular_minus, -1.0)):
+        A = 0.5 * (c + sign * math.sqrt(c * c + 16.0))
+        assert A * A - c * A - 4.0 == pytest.approx(0.0, abs=1e-12)
+        h = solve(Sqrt(c), 1.0, capture=grid).values_at(grid)
+        assert np.max(np.abs(h / (A * np.sqrt(grid)) - 1.0)) <= 1e-10
+    assert sharp_ratio_bound(1.0) == pytest.approx((1 + math.sqrt(17)) / 2, abs=1e-14)
 
 
 def test_singular_initial_value_is_lambda0():
@@ -208,12 +213,12 @@ def singular_family(term, tau_grid, t_end: float, tol: float = 1e-10):
 
 
 @settings(max_examples=40)
-@given(r=st.floats(0.3, 3.0), e=st.floats(-9.0, 0.0))
+@given(r=st.floats(0.3, 3.0), e=st.floats(-12.0, 0.0))
+@example(r=1.0, e=-12.0)
 def test_tangent_singular_pair_is_covariant_under_loewner_scaling(r, e):
     # TangentTerm(r) is the r-scaled tangent slit, so its singular pair is
-    # r * (alpha, beta)(t / r**2); h+ runs through the stiff layer, h- does not.
-    # t = 10**e of the domain end; below about 2e-13 the explicit h- seed
-    # misses alpha by more than the tolerance
+    # r * (alpha, beta)(t / r**2) at t = 10**e of the domain end; h+ runs
+    # through the stiff layer, h- hands over to solve_scalar at the capture
     term = TangentTerm(r)
     t = min(term.domain_end * 10.0 ** e, term.domain_end)
     p = solve_params(min(t / r**2, T_MAX_DEFAULT))  # may overshoot by an ulp
@@ -224,17 +229,36 @@ def test_tangent_singular_pair_is_covariant_under_loewner_scaling(r, e):
 
 
 def test_only_the_upper_singular_solution_of_a_steep_term_is_stiff(monkeypatch):
-    calls = []
-    stiff = integrate.solve_singular_branch
-    monkeypatch.setattr(integrate, "solve_singular_branch",
-                        lambda lam, p, *a, **k: calls.append(p) or stiff(lam, p, *a, **k))
+    # every singular solve leaves the driving point through one branch call
+    # with q = p for h+ and 1 - p for h- (p = 1/2 at a restart); only the
+    # stiff one, h+ of a p < 1/2 term, lands on the captures itself, and every
+    # other one hands over to one solve_scalar that takes them
+    branch, scalar = [], []
+    implicit, explicit = integrate.solve_singular_branch, halfplane.solve_scalar
+
+    def spy_branch(lam, q, *args, capture, **kwargs):
+        branch.append((q, capture is not None))
+        return implicit(lam, q, *args, capture=capture, **kwargs)
+
+    monkeypatch.setattr(integrate, "solve_singular_branch", spy_branch)
+    monkeypatch.setattr(halfplane, "solve_scalar",
+                        lambda *args, **kwargs: scalar.append(1) or explicit(*args, **kwargs))
+
+    def calls(term, sign, t_start, t_end):
+        branch.clear()
+        scalar.clear()
+        cap = np.linspace(t_start, t_end, 5)[1:]
+        halfplane._singular(term, sign, t_start, t_end, 1e-10, capture=cap)
+        return [(pytest.approx(q), captured) for q, captured in branch], len(scalar)
+
     for term in (TangentTerm(1.0), Scaled(TangentTerm(1.0), 2.0)):
-        singular_plus(term, 0.01)
-        singular_minus(term, 0.01)
-        halfplane._singular(term, +1, 0.005, 0.01, 1e-10)  # a restart: smooth there
+        assert calls(term, +1, 0.0, 0.01) == ([(1.0 / 3.0, True)], 0)
+        assert calls(term, -1, 0.0, 0.01) == ([(2.0 / 3.0, False)], 1)
+        for sign in (+1, -1):  # restarts: smooth there
+            assert calls(term, sign, 0.005, 0.01) == ([(0.5, False)], 1)
     for term in (Sqrt(1.0), Lind(4.0), Constant(0.0)):
-        singular_plus(term, 0.5)
-    assert calls == [1.0 / 3.0, 1.0 / 3.0]
+        for sign in (+1, -1):
+            assert calls(term, sign, 0.0, 0.5) == ([(0.5, False)], 1)
 
 
 def test_singular_family_restart_and_nesting():

@@ -350,7 +350,7 @@ def test_bad_tolerance_is_rejected_before_the_first_step(tol):
     with pytest.raises(ValueError, match="tol must be finite and > 0"):
         solve_scalar(lambda y, l: -y, lam, 0.0, 1.0, 1.0, tol=tol)
     with pytest.raises(ValueError, match="tol must be finite and > 0"):
-        solve_singular_branch(lam, 1.0 / 3.0, 1.0, tol=tol, capture=None)
+        solve_singular_branch(lam, 1.0 / 3.0, 1.0, sign=1, tol=tol, capture=None)
     assert calls == []
 
 
@@ -358,7 +358,7 @@ def test_singular_branch_matches_the_tangent_prevertex():
     # h+ = beta(t) for the tangent slit, from the seed at 1e-12 * 1e-9 up
     term = TangentTerm(1.0)
     cap = [1e-9, 1e-6, 1e-3, 0.01, 0.05]
-    res = solve_singular_branch(term.value, term.onset_exponent, 0.05, tol=1e-10,
+    res = solve_singular_branch(term.value, term.onset_exponent, 0.05, sign=1, tol=1e-10,
                                 capture=np.array(cap))
     assert res.times[0] == integrate.SEED_FRACTION * cap[0]
     for t in cap:
@@ -377,26 +377,30 @@ def test_singular_branch_calls_lam_once_per_stage_time():
         seen.append(t)
         return term.value(t)
 
-    res = solve_singular_branch(lam, term.onset_exponent, 0.01, tol=1e-10, capture=None)
+    res = solve_singular_branch(lam, term.onset_exponent, 0.01, sign=1, tol=1e-10,
+                                capture=None)
     assert len(seen) == 5 * res.n_steps + 2
     assert {type(t) for t in seen} == {float}
 
 
 def test_singular_branch_step_count_is_guarded():
     term = TangentTerm(1.0)
-    res = solve_singular_branch(term.value, term.onset_exponent, 0.05, tol=1e-10,
+    res = solve_singular_branch(term.value, term.onset_exponent, 0.05, sign=1, tol=1e-10,
                                 capture=None)
     assert res.n_steps <= 2 * SINGULAR_BRANCH_STEPS
 
 
 def test_singular_branch_rejects_what_it_cannot_solve():
     lam = TangentTerm(1.0).value
-    for p in (0.0, 0.5, math.nan):
-        with pytest.raises(ValueError, match="onset exponent"):
-            solve_singular_branch(lam, p, 0.01, tol=1e-10, capture=None)
+    for q in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="exponent"):
+            solve_singular_branch(lam, q, 0.01, sign=1, tol=1e-10, capture=None)
+    for sign in (0, 2, -2, math.nan):
+        with pytest.raises(ValueError, match="sign"):
+            solve_singular_branch(lam, 1.0 / 3.0, 0.01, sign=sign, tol=1e-10, capture=None)
     for t_end in (0.0, math.nan):
         with pytest.raises(ValueError, match="t_end"):
-            solve_singular_branch(lam, 1.0 / 3.0, t_end, tol=1e-10, capture=None)
-    # a seed time of 1e-12 * 5e-324 is 0, where Y = (h - lam(0)) / t**p is undefined
+            solve_singular_branch(lam, 1.0 / 3.0, t_end, sign=1, tol=1e-10, capture=None)
+    # a seed time of 1e-12 * 5e-324 is 0, where Y = (h - lam(0)) / t**q is undefined
     with pytest.raises(IntegrationError, match="seed time underflows"):
-        solve_singular_branch(lam, 1.0 / 3.0, 5e-324, tol=1e-10, capture=None)
+        solve_singular_branch(lam, 1.0 / 3.0, 5e-324, sign=1, tol=1e-10, capture=None)

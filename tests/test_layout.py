@@ -230,3 +230,19 @@ def test_solve_scalar_holds_one_step_body():
     calls = [node for node in ast.walk(solve) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "rhs"]
     assert len(calls) == 7
+
+
+def _raised_names(tree) -> set[str]:
+    return {_referenced_name(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+            for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc is not None}
+
+
+def test_every_error_class_is_raised():
+    # a public error nothing raises is API that promises a failure which
+    # cannot happen
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set().union(*(_raised_names(ast.parse(p.read_text()))
+                           for p in sorted(PACKAGE.glob("*.py"))))
+    assert classes
+    assert sorted(classes - raised) == []
