@@ -89,11 +89,12 @@ def _cmd_singular(args) -> int:
     grid = np.geomspace(max(args.t_end * 1e-8, _SINGULAR_GRID_FLOOR), args.t_end, args.n)
     minus = singular_minus(term, args.t_end, args.tol, capture=grid)
     plus = singular_plus(term, args.t_end, args.tol, capture=grid)
+    rows = zip(grid.tolist(), minus.values_at(grid).tolist(), plus.values_at(grid).tolist(),
+               term.values(grid).tolist())
     with open(args.out, "w") as fh:
         fh.write("t,h_minus,h_plus,lambda\n")
-        for t in grid:
-            fh.write(f"{_F(t)},{_F(float(minus.value_at(t)))},"
-                     f"{_F(float(plus.value_at(t)))},{_F(term.value(float(t)))}\n")
+        for t, lo, hi, lam in rows:
+            fh.write(f"{_F(t)},{_F(lo)},{_F(hi)},{_F(lam)}\n")
     return 0
 
 

@@ -236,7 +236,7 @@ def collision_threshold_experiment(c_grid) -> ThresholdExperiment:
         x0 = term.value(0.0) + X0_OFFSET
         end = term.domain_end
         t_h = end * (1.0 - TERMINAL_EPS)
-        traj = evolve_boundary(term, x0, t_h, SCAN_TOL, record=False)
+        traj = evolve_boundary(term, x0, t_h, SCAN_TOL)
         if traj.is_swallowed:
             hit, t_hit, y = True, traj.swallowed_at, None
         else:

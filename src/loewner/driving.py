@@ -233,11 +233,12 @@ class Scaled(DrivingTerm):
     """
 
     def __init__(self, base: DrivingTerm, r: float):
-        if not 0 < r < math.inf:  # NaN fails too
-            raise ValueError("scale factor r must be positive and finite")
         self.base = base
         self.r = float(r)
-        self._r2 = self.r**2
+        # r * r is inf or 0 where it overflows or underflows; NaN fails too
+        self._r2 = self.r * self.r
+        if not (0 < self.r and 0 < self._r2 < math.inf):
+            raise ValueError("scale factor r must be positive, with a finite nonzero square")
         if base.domain_end is not None:
             self.domain_end = base.domain_end * self._r2
         self.exact_half_norm = base.exact_half_norm

@@ -19,9 +19,8 @@ q = 1 - p for h-; for p = 1/2 both behave like +-A*sqrt(t). For p < 1/2 the
 upper solution is stiff at 0: there h+ - lambda ~ t**(1 - p), so the
 relaxation rate 2/(h+ - lambda)**2 grows like t**(2p - 2) (0.62 t**(-4/3)
 for the tangent slit) and would hold an explicit stepper at its stability
-limit. That branch stays implicit up to t_end. Every other branch, and
-every restart at t_start > 0 (taken with p = 1/2), hands over to the
-explicit ``solve_scalar`` at its first capture time (or at t_end).
+limit. That branch stays implicit up to t_end. Every other branch hands
+over to the explicit ``solve_scalar`` at its first capture time (or at t_end).
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import integrate
 from .driving import DrivingTerm
-from .errors import DomainError, LoewnerError
+from .errors import LoewnerError
 from .integrate import solve_scalar
 from .trajectory import Trajectory
 
@@ -83,14 +82,13 @@ def _gap(y, l):
     return abs(y - l)
 
 
-def _evolve(term: DrivingTerm, y0, t_end: float, tol: float, capture=None,
-            record: bool = True) -> Trajectory:
+def _evolve(term: DrivingTerm, y0, t_end: float, tol: float, capture=None) -> Trajectory:
     """Solve from (0, y0) with swallowing detection; the samples keep y0's type."""
     if not cmath.isfinite(y0):
         raise ValueError(f"start point {y0!r} is not finite")
     term.check_covers(t_end)
     res = solve_scalar(_rhs, term.value, 0.0, y0, t_end, tol=tol, gap=_gap,
-                       capture=capture, record=record, lam_values=term.values)
+                       capture=capture, lam_values=term.values)
     return Trajectory(res.times, res.values.astype(type(y0)), res.swallowed_at)
 
 
@@ -109,7 +107,7 @@ def evolve_interior(term: DrivingTerm, z0: complex, t_end: float,
 
 
 def evolve_boundary(term: DrivingTerm, x0: float, t_end: float, tol: float = 1e-10,
-                    *, capture=None, record: bool = True) -> Trajectory:
+                    *, capture=None) -> Trajectory:
     """Evolve a real point x0 != lambda(0); the sign of x - lambda is preserved
     until swallowing."""
     x0 = float(x0)
@@ -117,51 +115,45 @@ def evolve_boundary(term: DrivingTerm, x0: float, t_end: float, tol: float = 1e-
         raise ValueError(
             "x0 coincides with lambda(0) within the collision threshold; "
             "use singular_plus/singular_minus for the singular solutions")
-    return _evolve(term, x0, t_end, tol, capture, record)
+    return _evolve(term, x0, t_end, tol, capture)
 
 
-def _singular(term: DrivingTerm, sign: int, t_start: float, t_end: float, tol: float,
+def _singular(term: DrivingTerm, sign: int, t_end: float, tol: float,
               capture=None) -> Trajectory:
-    """Singular solution on the side ``sign`` started at (t_start, lambda(t_start)).
+    """Singular solution on the side ``sign`` started at (0, lambda(0)).
 
-    The branch solve (see the module docstring) runs in u = t - t_start under
-    the driving term u -> lambda(t_start + u). Unless it is stiff, it stops at
-    the first capture time t1 (or t_end), and one ``solve_scalar`` from t1
-    takes the remaining captures.
+    The branch solve (see the module docstring) takes q from the term's onset
+    exponent p. Unless it is stiff, it stops at the first capture time t1 (or
+    t_end), and one ``solve_scalar`` from t1 takes the remaining captures.
     """
     term.check_covers(t_end)
-    if t_end < t_start:
-        raise DomainError("t_end must be >= the start time of the singular solution")
-    lam_start = term.value(t_start)
-    if t_end == t_start:
-        return Trajectory(np.array([t_start]), np.array([lam_start]))
+    lam0 = term.value(0.0)
+    if t_end == 0.0:
+        return Trajectory(np.array([0.0]), np.array([lam0]))
 
     cap = np.asarray([] if capture is None else capture, dtype=float)
-    if t_start == 0.0:
-        p, lam = term.onset_exponent, term.value
-    else:
-        p, lam = 0.5, lambda u: term.value(t_start + u)
+    p = term.onset_exponent
     stiff = sign > 0 and p < 0.5
-    t1 = t_end if stiff else float(np.min(cap[cap > t_start], initial=t_end))
-    res = integrate.solve_singular_branch(lam, p if sign > 0 else 1.0 - p, t1 - t_start,
+    t1 = t_end if stiff else float(np.min(cap[cap > 0.0], initial=t_end))
+    res = integrate.solve_singular_branch(term.value, p if sign > 0 else 1.0 - p, t1,
                                           sign=sign, tol=tol, capture=cap if stiff else None)
     if not stiff:
         res = solve_scalar(_rhs, term.value, t1, res.values[-1], t_end, tol=tol,
                            capture=cap, lam_values=term.values)
-    return Trajectory(np.concatenate(([t_start], res.times)),
-                      np.concatenate(([lam_start], res.values)))
+    return Trajectory(np.concatenate(([0.0], res.times)),
+                      np.concatenate(([lam0], res.values)))
 
 
 def singular_plus(term: DrivingTerm, t_end: float, tol: float = 1e-10,
                   *, capture=None) -> Trajectory:
     """The upper singular solution h+ with h+(0) = lambda(0)."""
-    return _singular(term, +1, 0.0, t_end, tol, capture)
+    return _singular(term, +1, t_end, tol, capture)
 
 
 def singular_minus(term: DrivingTerm, t_end: float, tol: float = 1e-10,
                    *, capture=None) -> Trajectory:
     """The lower singular solution h- with h-(0) = lambda(0)."""
-    return _singular(term, -1, 0.0, t_end, tol, capture)
+    return _singular(term, -1, t_end, tol, capture)
 
 
 def swallowed_interval(term: DrivingTerm, t_grid, tol: float = 1e-10) -> list[SwallowedInterval]:
@@ -175,7 +167,7 @@ def swallowed_interval(term: DrivingTerm, t_grid, tol: float = 1e-10) -> list[Sw
         raise ValueError("t_grid must be a nonempty 1-d array of times >= 0")
     sorted_grid = np.unique(grid)
     t_end = float(sorted_grid[-1])
-    lows, ups = (_singular(term, sign, 0.0, t_end, tol, capture=sorted_grid)
+    lows, ups = (_singular(term, sign, t_end, tol, capture=sorted_grid)
                  .values_at(sorted_grid).astype(float) for sign in (-1, +1))
     for t, lo, hi in zip(sorted_grid, lows, ups):
         if t > 0 and not (lo < term.value(float(t)) < hi):

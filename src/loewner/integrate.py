@@ -142,8 +142,7 @@ class OdeResult:
 
 
 def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
-                 gap=None, capture=None, record: bool = True,
-                 lam_values=None) -> OdeResult:
+                 gap=None, capture=None, lam_values=None) -> OdeResult:
     """Integrate dy/dt = rhs(y, lam(t)) from (t0, y0) to t_end.
 
     Parameters
@@ -161,8 +160,6 @@ def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
         refined on the step and the solve stops (swallowing).
     capture : array_like or None
         Times in (t0, t_end] the stepper lands on exactly.
-    record : bool
-        When False only the initial and final samples are kept (fast scans).
     lam_values : callable or None
         The vectorized form of ``lam``: lam_values(ts) -> ndarray of
         lam(t) for each t, bit for bit. With capture times, the capped steps
@@ -270,13 +267,9 @@ def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
                 h_prop = h * (5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm ** -0.2))
             else:
                 icap += 1
-            if record:
-                times.append(t)
-                values.append(y)
+            times.append(t)
+            values.append(y)
 
-    if not record:
-        times.append(t)
-        values.append(y)
     return _result(times, values, swallowed_at=None, n_steps=n_steps)
 
 

@@ -144,10 +144,11 @@ class TangentTerm(DrivingTerm):
     onset_exponent = 1.0 / 3.0
 
     def __init__(self, radius: float = 1.0):
-        if not 0 < radius < math.inf:  # NaN fails too
-            raise ValueError("radius must be positive and finite")
         self.radius = float(radius)
-        self._r2 = self.radius ** 2
+        # r * r is inf or 0 where it overflows or underflows; NaN fails too
+        self._r2 = self.radius * self.radius
+        if not (0 < self.radius and 0 < self._r2 < math.inf):
+            raise ValueError("radius must be positive, with a finite nonzero square")
         self.domain_end = T_MAX_DEFAULT * self._r2
 
     def _raw(self, t: float) -> float:

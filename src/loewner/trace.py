@@ -68,7 +68,7 @@ def _tip(term: DrivingTerm, t: float, tol: float) -> complex:
                          f"at D0={d0!r} (|D0| >= 4)")
     y0 = complex(0.5 * d0, 0.5 * math.sqrt(16.0 - d0 * d0))
     try:
-        res = solve_scalar(_blown_up_rhs, drive, tau0, y0, math.log(t), tol=tol, record=False)
+        res = solve_scalar(_blown_up_rhs, drive, tau0, y0, math.log(t), tol=tol)
     except IntegrationError as exc:
         raise TraceError(f"backward integration blew up at t={t!r}") from exc
     return lam_t + math.sqrt(t) * complex(res.values[-1])

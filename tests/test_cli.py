@@ -207,6 +207,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for geometry in ("halfplane", "disk"):
         assert main(["evolve", "--geometry", geometry, "--term", "sqrt:1", "--start", "0.1,0.2,3",
                      "--t-end", "0.5", "--out", str(tmp_path / "x.csv")]) == 2
+    # a radius whose square overflows or underflows (r**2 raised OverflowError)
+    for term in ("tangent:1e200", "tangent:1e-200"):
+        assert main(["trace", "--term", term, "--t-grid", "0.01",
+                     "--out", str(tmp_path / "t.csv")]) == 2
     # time grids with a non-finite end or entry
     for grid in ("lin:0.1:inf:3", "log:0.1:inf:3", "lin:-inf:1:3", "0.1,nan", "0.1,inf,0.2"):
         assert main(["trace", "--term", "sqrt:1", "--t-grid", grid,

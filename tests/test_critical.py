@@ -150,7 +150,7 @@ def _serial_scan_collides(c: float) -> bool:
     """Reference: whether any of 200 start points right of lambda(0) is
     swallowed by a solve to t = 1, gap-checked against COLLISION_DELTA."""
     term = Lind(c)
-    return any(evolve_boundary(term, float(x0), 1.0, SCAN_TOL, record=False).is_swallowed
+    return any(evolve_boundary(term, float(x0), 1.0, SCAN_TOL).is_swallowed
                for x0 in term.value(0.0) + np.geomspace(1e-3, 20.0, 200))
 
 
@@ -186,7 +186,7 @@ def _oracle_collides(c: float) -> bool:
     """
     res = solve_scalar(lambda u, _: 0.5 * (1.0 - c * math.exp(-u) + 4.0 * math.exp(-2.0 * u)),
                        lambda _: 0.0, 0.0, math.log(X0_OFFSET), 3000.0, tol=1e-10,
-                       gap=lambda u, _: max(50.0 - u, 0.0), record=False)
+                       gap=lambda u, _: max(50.0 - u, 0.0))
     return res.swallowed_at is None
 
 
@@ -271,8 +271,8 @@ def test_nearer_point_is_swallowed_no_later(c, a, b):
     assume(a != b)
     x0, x1 = min(a, b), max(a, b)
     term = Lind(c)
-    near = evolve_boundary(term, x0, 1.0, SCAN_TOL, record=False)
-    far = evolve_boundary(term, x1, 1.0, SCAN_TOL, record=False)
+    near = evolve_boundary(term, x0, 1.0, SCAN_TOL)
+    far = evolve_boundary(term, x1, 1.0, SCAN_TOL)
     if far.is_swallowed:
         assert near.is_swallowed
         assert near.swallowed_at <= far.swallowed_at + 1e-9

@@ -50,9 +50,11 @@ def test_scaled_is_loewner_scaling():
     assert sc.exact_half_norm == base.exact_half_norm
 
 
-@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf, 1e200, 1e-200])
 def test_scale_and_radius_must_be_positive_and_finite(r):
-    # a NaN or infinite factor made every value NaN
+    # a NaN or infinite factor made every value NaN; so did a square that
+    # overflows (r**2 raised OverflowError) or underflows to 0 (every value
+    # divided by it)
     with pytest.raises(ValueError):
         Scaled(Sqrt(1.0), r)
     with pytest.raises(ValueError):

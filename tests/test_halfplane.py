@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from loewner import (Constant, DomainError, FromCallable, IntegrationError, Lind, LoewnerError,
+from loewner import (Constant, DomainError, FromCallable, IntegrationError, Lind,
                      Scaled, Sqrt)
 from loewner import halfplane, integrate
 from loewner.halfplane import (RatioDiagnostic, evolve_boundary, evolve_interior,
@@ -176,42 +176,6 @@ def test_ratio_check_needs_a_closed_form_norm():
         ratio_limsup_check(FromCallable(Sqrt(1.0).value), np.geomspace(1e-6, 1.0, 5))
 
 
-#: size of the shared grid on which singular_family checks straddling and nesting
-FAMILY_CHECK_POINTS = 33
-
-
-def singular_family(term, tau_grid, t_end: float, tol: float = 1e-10):
-    """Pairs of singular solutions restarted from the slit tip at each tau.
-
-    Each pair starts at h(gamma(tau), tau) = lambda(tau). Straddling of the
-    driving term and strict nesting of later-started pairs inside earlier ones
-    are checked on a shared grid; violations raise LoewnerError.
-    """
-    taus = np.sort(np.asarray(tau_grid, dtype=float))
-    if taus.size == 0 or np.any(taus < 0) or np.any(taus >= t_end):
-        raise ValueError("tau_grid must lie within [0, t_end)")
-    t_lo = float(taus[-1]) + (t_end - float(taus[-1])) / 64.0
-    n = FAMILY_CHECK_POINTS
-    shared = np.geomspace(t_lo, t_end, n) if t_lo > 0 else np.linspace(t_end / n, t_end, n)
-    pairs = []
-    for tau in taus:
-        cap = shared[shared > tau]
-        minus = halfplane._singular(term, -1, float(tau), t_end, tol, capture=cap)
-        plus = halfplane._singular(term, +1, float(tau), t_end, tol, capture=cap)
-        for t in cap:
-            lam_t = term.value(float(t))
-            if not (minus.value_at(t) < lam_t < plus.value_at(t)):
-                raise LoewnerError(
-                    f"singular pair from tau={tau!r} fails to straddle lambda at t={t!r}")
-        pairs.append((minus, plus))
-    for (m1, p1), (m2, p2), tau2 in zip(pairs, pairs[1:], taus[1:]):
-        for t in shared[shared > tau2]:
-            if not (m1.value_at(t) < m2.value_at(t) and p2.value_at(t) < p1.value_at(t)):
-                raise LoewnerError(
-                    f"singular family pairs are not nested at t={t!r}")
-    return pairs
-
-
 @settings(max_examples=40)
 @given(r=st.floats(0.3, 3.0), e=st.floats(-12.0, 0.0))
 @example(r=1.0, e=-12.0)
@@ -230,9 +194,9 @@ def test_tangent_singular_pair_is_covariant_under_loewner_scaling(r, e):
 
 def test_only_the_upper_singular_solution_of_a_steep_term_is_stiff(monkeypatch):
     # every singular solve leaves the driving point through one branch call
-    # with q = p for h+ and 1 - p for h- (p = 1/2 at a restart); only the
-    # stiff one, h+ of a p < 1/2 term, lands on the captures itself, and every
-    # other one hands over to one solve_scalar that takes them
+    # with q = p for h+ and 1 - p for h-; only the stiff one, h+ of a p < 1/2
+    # term, lands on the captures itself, and every other one hands over to
+    # one solve_scalar that takes them
     branch, scalar = [], []
     implicit, explicit = integrate.solve_singular_branch, halfplane.solve_scalar
 
@@ -244,42 +208,18 @@ def test_only_the_upper_singular_solution_of_a_steep_term_is_stiff(monkeypatch):
     monkeypatch.setattr(halfplane, "solve_scalar",
                         lambda *args, **kwargs: scalar.append(1) or explicit(*args, **kwargs))
 
-    def calls(term, sign, t_start, t_end):
+    def calls(solve, term, t_end):
         branch.clear()
         scalar.clear()
-        cap = np.linspace(t_start, t_end, 5)[1:]
-        halfplane._singular(term, sign, t_start, t_end, 1e-10, capture=cap)
+        solve(term, t_end, capture=np.linspace(0.0, t_end, 5)[1:])
         return [(pytest.approx(q), captured) for q, captured in branch], len(scalar)
 
     for term in (TangentTerm(1.0), Scaled(TangentTerm(1.0), 2.0)):
-        assert calls(term, +1, 0.0, 0.01) == ([(1.0 / 3.0, True)], 0)
-        assert calls(term, -1, 0.0, 0.01) == ([(2.0 / 3.0, False)], 1)
-        for sign in (+1, -1):  # restarts: smooth there
-            assert calls(term, sign, 0.005, 0.01) == ([(0.5, False)], 1)
+        assert calls(singular_plus, term, 0.01) == ([(1.0 / 3.0, True)], 0)
+        assert calls(singular_minus, term, 0.01) == ([(2.0 / 3.0, False)], 1)
     for term in (Sqrt(1.0), Lind(4.0), Constant(0.0)):
-        for sign in (+1, -1):
-            assert calls(term, sign, 0.0, 0.5) == ([(0.5, False)], 1)
-
-
-def test_singular_family_restart_and_nesting():
-    pairs = singular_family(Constant(0.0), [0.0, 0.25, 0.5], 1.0, tol=1e-11)
-    minus0, plus0 = pairs[0]
-    assert plus0.final_value == pytest.approx(2.0, abs=1e-6)
-    minus_half, plus_half = pairs[2]
-    # restart property of sqrt(4 (t - tau)) under lambda = 0
-    assert plus_half.final_value == pytest.approx(math.sqrt(2.0), abs=1e-6)
-    assert minus_half.final_value == pytest.approx(-math.sqrt(2.0), abs=1e-6)
-
-
-def test_singular_family_coincides_with_singular_solutions_at_tau0():
-    pairs = singular_family(Sqrt(1.0), [0.0], 1.0, tol=1e-11)
-    minus_family, plus_family = pairs[0]
-    t_mid = float(plus_family.times[plus_family.times.size // 2])
-    plus_direct = singular_plus(Sqrt(1.0), 1.0, tol=1e-11, capture=[t_mid])
-    minus_direct = singular_minus(Sqrt(1.0), 1.0, tol=1e-11)
-    assert plus_family.final_value == pytest.approx(plus_direct.final_value, rel=1e-7)
-    assert plus_family.value_at(t_mid) == pytest.approx(plus_direct.value_at(t_mid), rel=1e-7)
-    assert minus_family.final_value == pytest.approx(minus_direct.final_value, rel=1e-7)
+        for solve in (singular_plus, singular_minus):
+            assert calls(solve, term, 0.5) == ([(0.5, False)], 1)
 
 
 # --- flow properties ---------------------------------------------------------

@@ -333,12 +333,6 @@ def test_step_floor_failure_carries_state():
     assert err.value.t > 0.9
 
 
-def test_record_false_keeps_endpoints_only():
-    res = solve_scalar(lambda y, l: -y, no_lam, 0.0, 1.0, 2.0, record=False)
-    assert len(res.times) == 2
-    assert res.values[-1] == pytest.approx(math.exp(-2.0), rel=1e-8)
-
-
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
 def test_bad_tolerance_is_rejected_before_the_first_step(tol):
     calls = []

@@ -156,6 +156,62 @@ def test_every_defaulted_parameter_is_set_by_src():
     assert _test_only_parameters() == []
 
 
+def _passed(call: ast.Call, name: str, position):
+    """The expression a call passes for the parameter, or None when it passes
+    none or passes it through a splat."""
+    for k in call.keywords:
+        if k.arg == name:
+            return k.value
+    args = call.args
+    if position is None or any(isinstance(a, ast.Starred) for a in args[:position + 1]):
+        return None
+    return args[position] if len(args) > position else None
+
+
+def _literal_repr(node) -> str | None:
+    """repr of a literal expression's value; None for any other expression."""
+    try:
+        return repr(ast.literal_eval(node)) if node is not None else None
+    except ValueError:
+        return None
+
+
+def _private_fixed_parameters() -> list[str]:
+    """Parameters of private module-level functions in src/ that no call sets
+    although they have a default, or to which every call passes the same
+    literal. A private name is called only from its own module (see the
+    private-imports rule), so the module's calls are all of them."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in tree.body:
+            if not (isinstance(fn, ast.FunctionDef) and _is_private(fn.name)):
+                continue
+            calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Name) and node.func.id == fn.name]
+            if not calls:  # only passed around, as a callback: no call to read
+                continue
+            args = fn.args
+            defaulted = {name for name, _ in _defaulted_parameters(fn)}
+            params = [(a.arg, k) for k, a in enumerate(args.posonlyargs + args.args)]
+            params += [(a.arg, None) for a in args.kwonlyargs]
+            for name, position in params:
+                where = f"{path.stem}.{fn.name}({name})"
+                if name in defaulted and not any(_sets(c, name, position) for c in calls):
+                    found.append(f"{where}: never set in src")
+                    continue
+                values = {_literal_repr(_passed(c, name, position)) for c in calls}
+                if len(values) == 1 and None not in values:
+                    found.append(f"{where}: always {values.pop()} in src")
+    return found
+
+
+def test_no_private_parameter_is_fixed_in_src():
+    # a parameter that every caller leaves at its default, or sets to one
+    # literal, is a code path that only tests can reach
+    assert _private_fixed_parameters() == []
+
+
 def _attribute_reads(tree) -> Counter:
     return Counter(node.attr for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
