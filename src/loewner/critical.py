@@ -197,12 +197,13 @@ class ThresholdExperiment:
 
 
 def c_grid(c_min: float, c_max: float, c_step: float) -> np.ndarray:
-    """Nodes c_min + k*c_step for k = 0, 1, ... up to c_max (1e-9 slack).
+    """Nodes c_min + k*c_step for k = 0, 1, ... up to c_max, with a slack of
+    1e-9 steps for the rounding of (c_max - c_min) / c_step.
 
     np.arange would step by (c_min + c_step) - c_min, whose rounding error
     grows with k: it puts 3.9999999999999982 where 4 should be on the default
-    grid. The node count is that of np.arange(c_min, c_max + 1e-9, c_step),
-    and above ``MAX_GRID_NODES`` it is an error, raised before any allocation.
+    grid. Above ``MAX_GRID_NODES`` nodes the grid is an error, raised before
+    any allocation.
     """
     if not all(map(math.isfinite, (c_min, c_max, c_step))):
         raise ValueError("c_min, c_max and c_step must be finite")
@@ -210,10 +211,10 @@ def c_grid(c_min: float, c_max: float, c_step: float) -> np.ndarray:
         raise ValueError("c_step must be positive")
     if c_max < c_min:
         raise ValueError("c_max must be >= c_min")
-    count = math.ceil((c_max + 1e-9 - c_min) / c_step)
-    if count > MAX_GRID_NODES:
-        raise ValueError(f"c grid of {count} nodes exceeds the limit of {MAX_GRID_NODES}")
-    return c_min + c_step * np.arange(count)
+    steps = (c_max - c_min) / c_step + 1e-9  # inf where the quotient overflows
+    if not steps < MAX_GRID_NODES:
+        raise ValueError(f"c grid exceeds the limit of {MAX_GRID_NODES} nodes")
+    return c_min + c_step * np.arange(math.floor(steps) + 1)
 
 
 def collision_threshold_experiment(c_grid) -> ThresholdExperiment:

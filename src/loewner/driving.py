@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DomainError
 
-# slack for stage times that undershoot 0 or overshoot the domain end by rounding
-_TIME_SLACK = 1e-12
+# relative slack for times that overshoot the domain end by rounding
+_END_RTOL = 1e-12
 
 
 class DrivingTerm:
@@ -46,7 +46,8 @@ class DrivingTerm:
         raise NotImplementedError
 
     def value(self, t: float) -> float:
-        """Evaluate the term at a single time."""
+        """Evaluate the term at a single time; a time off [0, domain_end]
+        goes through ``_clip_time``."""
         t = float(t)
         end = self.domain_end
         if 0.0 <= t and (end is None or t <= end):
@@ -56,22 +57,21 @@ class DrivingTerm:
     def values(self, ts) -> np.ndarray:
         """Evaluate on an array of times: ``value`` for each, bit for bit.
 
-        Times that miss the domain by rounding only are clamped onto it as in
-        ``value``; any other time raises DomainError. The clamped times go to
-        ``_raw_values``, which the closed-form families implement with their
-        ``_raw`` expression on arrays (numpy's sqrt and arithmetic are the
-        same correctly rounded IEEE operations as ``math``'s).
+        Times in [0, domain_end] go straight to ``_raw_values``; the others
+        pass through the one domain rule ``_clip_time``, which maps a time
+        past the end by rounding onto the end and rejects any other. The
+        closed-form families implement ``_raw_values`` with their ``_raw``
+        expression on arrays (numpy's sqrt and arithmetic are the same
+        correctly rounded IEEE operations as ``math``'s).
         """
         t = np.asarray(ts, dtype=float).ravel()
         end = self.domain_end
-        inside = t >= -_TIME_SLACK
+        inside = t >= 0.0
         if end is not None:
-            inside &= t <= end + _TIME_SLACK * max(1.0, end)
+            inside &= t <= end
         if not inside.all():
-            self._clip_time(float(t[np.argmin(inside)]))  # raises DomainError
-        t = np.where(t < 0.0, 0.0, t)
-        if end is not None:
-            t = np.where(t > end, end, t)
+            t = t.copy()
+            t[~inside] = [self._clip_time(x) for x in t[~inside].tolist()]
         return self._raw_values(t)
 
     def _raw_values(self, t: np.ndarray) -> np.ndarray:
@@ -81,23 +81,23 @@ class DrivingTerm:
 
     def check_covers(self, t_end: float) -> None:
         """Raise DomainError unless the term is defined on all of [0, t_end]."""
-        if not 0 <= t_end < math.inf:  # NaN fails too
-            raise DomainError("t_end must be finite and nonnegative")
-        if self.domain_end is not None and t_end > self.domain_end * (1 + 1e-12):
-            raise DomainError(
-                f"t_end={t_end!r} exceeds the term's domain end {self.domain_end!r}")
+        if t_end == math.inf:
+            raise DomainError("t_end must be finite")
+        self._clip_time(t_end)
 
     def _clip_time(self, t: float) -> float:
-        """Clamp a time outside [0, domain_end] onto the domain when it misses
-        by rounding only; ``value`` calls this for such times alone."""
-        if not t >= 0.0:  # NaN takes this branch too, and fails the next test
-            if not t >= -_TIME_SLACK:
-                raise DomainError(f"time {t!r} is outside the term's domain (t >= 0)")
-            return 0.0
+        """The domain rule: with T = domain_end, t is in the domain when
+        0 <= t <= T*(1 + 1e-12), -0.0 counting as 0. A time in
+        (T, T*(1 + 1e-12)] overshoots T by rounding and is evaluated at T;
+        every other time (NaN included) raises DomainError."""
         end = self.domain_end
-        if t > end + _TIME_SLACK * max(1.0, end):
-            raise DomainError(f"time {t!r} is outside the term's domain [0, {end!r}]")
-        return end
+        if 0.0 <= t:  # NaN fails
+            if end is None or t <= end:
+                return t
+            if t <= end * (1.0 + _END_RTOL):
+                return end
+        bound = "t >= 0" if end is None else f"[0, {end!r}]"
+        raise DomainError(f"time {t!r} is outside the term's domain {bound}")
 
     def spec_string(self) -> str:
         """Canonical ``kind:params`` form; parse_term round-trips it."""
@@ -200,9 +200,7 @@ class Sampled(DrivingTerm):
         # bisect + manual lerp: called per ODE stage, keep it cheap
         ts = self._time_list
         vs = self._value_list
-        i = bisect_right(ts, t)
-        if i <= 0:
-            return vs[0]
+        i = bisect_right(ts, t)  # >= 1: times are >= 0 = ts[0]
         if i >= len(ts):
             return vs[-1]
         t0, t1 = ts[i - 1], ts[i]

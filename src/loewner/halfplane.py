@@ -58,7 +58,6 @@ class RatioDiagnostic:
     by A = (c + sqrt(c**2 + 16)) / 2, with equality for lambda = c*sqrt(t).
     """
 
-    times: np.ndarray
     ratio: np.ndarray
     bound: float
 
@@ -180,7 +179,8 @@ def swallowed_interval(term: DrivingTerm, t_grid, tol: float = 1e-10) -> list[Sw
 
 
 def ratio_limsup_check(term: DrivingTerm, t_grid, *, tol: float = 1e-10) -> RatioDiagnostic:
-    """phi(t) = (h+(t) - lambda(0)) / sqrt(t) on a grid, against the sharp bound.
+    """phi(t) = (h+(t) - lambda(0)) / sqrt(t) on a grid, in ascending time
+    order, against the sharp bound.
 
     The Lip(1/2) norm c of the term is its closed form
     ``term.exact_half_norm``; a term without one raises ValueError.
@@ -194,4 +194,4 @@ def ratio_limsup_check(term: DrivingTerm, t_grid, *, tol: float = 1e-10) -> Rati
     lam0 = term.value(0.0)
     plus = singular_plus(term, float(grid[-1]), tol, capture=grid)
     phi = (plus.values_at(grid).astype(float) - lam0) / np.sqrt(grid)
-    return RatioDiagnostic(times=grid, ratio=phi, bound=sharp_ratio_bound(float(c)))
+    return RatioDiagnostic(ratio=phi, bound=sharp_ratio_bound(float(c)))

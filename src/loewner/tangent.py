@@ -70,7 +70,6 @@ _C2, _C3, _C4 = (
 class SlitParams:
     """Christoffel-Schwarz parameters of the tangent circular slit at time t."""
 
-    t: float
     alpha: float
     beta: float
     gamma_prevertex: float
@@ -131,7 +130,7 @@ def solve_params(t: float) -> SlitParams:
     s = _root_s(t)
     alpha = -s * s
     beta = alpha + 2.0 * s * _SQRT_PI
-    return SlitParams(t, alpha, beta, 2.0 * alpha + beta)
+    return SlitParams(alpha, beta, 2.0 * alpha + beta)
 
 
 class TangentTerm(DrivingTerm):

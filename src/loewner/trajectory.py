@@ -30,9 +30,8 @@ class Trajectory:
             raise ValueError("trajectory times must be strictly increasing")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
             raise ValueError("trajectory contains non-finite samples")
-        if self.swallowed_at is not None:
-            if abs(t[-1] - self.swallowed_at) > 1e-9 * max(1.0, abs(self.swallowed_at)):
-                raise ValueError("swallowed trajectory must end at the swallowing time")
+        if self.swallowed_at is not None and t[-1] != self.swallowed_at:
+            raise ValueError("swallowed trajectory must end at the swallowing time")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
@@ -57,23 +56,16 @@ class Trajectory:
         return self.values_at([t])[0]
 
     def values_at(self, ts) -> np.ndarray:
-        """Values at sample times; raises KeyError on the first time that is not a sample.
-
-        Each time t takes the nearest sample, the lower one on a tie, and
-        matches it when they differ by at most 1e-12 * |t|. A non-finite time
-        matches nothing.
-        """
+        """Values at sample times; raises KeyError on the first time that is not
+        exactly a sample (NaN included)."""
         ts = np.asarray(ts, dtype=float).ravel()
         times = self.times
-        i = np.searchsorted(times, ts)
-        below = np.maximum(i - 1, 0)
-        above = np.minimum(i, times.size - 1)
-        pick = np.where(np.abs(times[above] - ts) < np.abs(times[below] - ts), above, below)
-        missing = ~(np.isfinite(ts) & (np.abs(times[pick] - ts) <= 1e-12 * np.abs(ts)))
+        i = np.minimum(np.searchsorted(times, ts), times.size - 1)
+        missing = times[i] != ts
         if missing.any():
             t = float(ts[missing.argmax()])
             raise KeyError(f"time {t!r} is not a sample of this trajectory")
-        return self.values[pick]
+        return self.values[i]
 
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:

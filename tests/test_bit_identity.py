@@ -22,6 +22,10 @@ square-root seed integrated by the explicit stepper from 1e-8/256 to 1e-8;
 the new start is the exact ray, so both branches are also held to
 A+- sqrt(t), A+- = 1 +- sqrt(5), within 1e-12 relative on all 3000 captures
 (about 1e-15 now; the old pins were up to 5.8e-8 off).
+The two CLI file digests pin what ``singular`` and ``convert`` write after
+looking their samples up with ``Trajectory.values_at`` and their driving
+values up with ``DrivingTerm.values``; they were recorded before the sample
+lookup became an exact match and the domain end slack became relative.
 """
 
 import hashlib
@@ -30,6 +34,7 @@ import numpy as np
 import pytest
 
 from loewner.bridge import halfplane_to_disk
+from loewner.cli import main
 from loewner.critical import collision_threshold_experiment
 from loewner.disk import evolve_disk_boundary
 from loewner.holder import holder_sup_norm
@@ -120,3 +125,18 @@ def test_capture_bound_singular_pair_is_pinned(solve, sign, digest):
     assert _digest(traj) == digest
     ray = (1.0 + sign * np.sqrt(5.0)) * np.sqrt(grid)
     assert np.max(np.abs(traj.values_at(grid) / ray - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("argv, digest", [
+    pytest.param(["singular", "--term", "sqrt:2", "--t-end", "1", "--n", "3000"],
+                 "dc242fc2c289f48bde740eb1aab5bc2b3274bb0093961ea84da916ff75a89216",
+                 id="singular"),
+    pytest.param(["convert", "--direction", "h2d", "--term", "lind:4", "--start", "2",
+                  "--t-grid", "lin:0:0.999:800"],
+                 "2d830d1444ed85a663c1cabcda79c5debb6dec4e4e30670d00135024a8ca2206",
+                 id="convert"),
+])
+def test_cli_output_file_is_pinned(tmp_path, argv, digest):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -107,10 +107,12 @@ def test_c_grid_node_count_is_bounded():
 
 def test_empty_or_unbounded_inputs_are_rejected():
     for bounds in ((3.5, math.inf, 0.05), (-math.inf, 4.5, 0.05), (3.5, 4.5, math.nan),
-                   (3.5, 4.5, math.inf), (4.0, 3.0, 0.05)):
+                   (3.5, 4.5, math.inf), (4.0, 3.0, 0.05), (-1e308, 1e308, 1.0)):
         with pytest.raises(ValueError):
             c_grid(*bounds)
     assert c_grid(4.0, 4.0, 0.05).tolist() == [4.0]
+    # the count's slack is relative to the step: one node, not 1001 up to 4 + 1e-9
+    assert c_grid(4.0, 4.0, 1e-12).tolist() == [4.0]
     with pytest.raises(ValueError):
         c_iteration(4.0, n_max=0)
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loewner import (Constant, DomainError, FromCallable, Lind, Sampled, Scaled, Sqrt,
                      load_sampled_csv, parse_term, write_sampled_csv)
@@ -86,12 +86,10 @@ def test_sampled_interpolates_linearly():
 
 def reference_sampled_value(term, t):
     """Sampled.value as an ndarray bisect with numpy-scalar arithmetic, the
-    reference for the list-backed lookup."""
+    reference for the list-backed lookup; t lies in [0, end*(1 + 1e-12)]."""
     ts, vs = term.times, term.table_values
-    t = min(max(float(t), 0.0), term.domain_end)  # slack-clipped ends
+    t = min(float(t), term.domain_end)  # a time past the end by rounding
     i = bisect_right(ts, t)
-    if i <= 0:
-        return float(vs[0])
     if i >= ts.size:
         return float(vs[-1])
     t0, t1 = ts[i - 1], ts[i]
@@ -106,10 +104,15 @@ def test_sampled_value_equals_the_reference_lookup(seed):
     times = np.concatenate(([0.0], np.cumsum(rng.uniform(1e-6, 0.1, n - 1))))
     term = Sampled(times, rng.normal(0.0, 3.0, n))
     end = term.domain_end
-    slack = 0.5e-12 * max(1.0, end)
-    probes = np.concatenate((rng.uniform(0.0, end, 500), times, [0.0, end, -0.5e-12, end + slack]))
+    probes = np.concatenate((rng.uniform(0.0, end, 500), times,
+                             [0.0, -0.0, end, end * (1 + 0.5e-12)]))
     for t in probes:
         assert term.value(t) == reference_sampled_value(term, t)
+    assert term.value(end * (1 + 0.5e-12)) == term.value(end)
+    # no slack below 0, and only the relative 1e-12 past the end
+    for t in (-0.5e-12, end * (1 + 2e-12)):
+        with pytest.raises(DomainError):
+            term.value(t)
     # one interpolant: the array lookup is the scalar one the stepper uses
     assert term.values(probes).tolist() == [term.value(t) for t in probes]
 
@@ -117,19 +120,17 @@ def test_sampled_value_equals_the_reference_lookup(seed):
 @st.composite
 def _sampled_and_probes(draw):
     """A sampled term and times on its nodes, between nodes, at both ends and
-    inside the rounding slack beyond either end."""
+    inside the relative rounding slack past the end."""
     steps = draw(st.lists(st.floats(1e-6, 5.0), min_size=1, max_size=30))
     times = np.concatenate(([0.0], np.cumsum(steps)))
     table = draw(st.lists(st.floats(-1e3, 1e3), min_size=times.size, max_size=times.size))
     term = Sampled(times, table)
     end = term.domain_end
-    slack = 1e-12 * max(1.0, end)  # driving._TIME_SLACK, scaled at the end as in value
     probe = st.one_of(
         st.integers(0, times.size - 1).map(lambda i: float(times[i])),
         st.tuples(st.integers(0, times.size - 2), st.floats(0.0, 1.0)).map(
             lambda p: float(times[p[0]] + p[1] * (times[p[0] + 1] - times[p[0]]))),
-        st.sampled_from((0.0, -0.0, end)),
-        st.floats(-1e-12, 0.0), st.floats(end, end + slack))
+        st.sampled_from((0.0, -0.0, end)), st.floats(end, end * (1 + 1e-12)))
     return term, draw(st.lists(probe, min_size=1, max_size=40))
 
 
@@ -141,7 +142,7 @@ def test_sampled_values_equal_the_scalar_lookup(case):
     assert term.values(probes).tolist() == expected
     assert expected == [reference_sampled_value(term, t) for t in probes]
     end = term.domain_end
-    for outside in (-2e-12, end + 2e-12 * max(1.0, end), math.nan):
+    for outside in (-5e-324, -2e-12, end * (1 + 2e-12), math.nan):
         with pytest.raises(DomainError):
             term.values(probes + [outside])
 
@@ -154,16 +155,15 @@ _BASE = st.one_of(_PARAM.map(Sqrt), _PARAM.map(Lind), _RADIUS.map(TangentTerm))
 @st.composite
 def _term_and_probes(draw):
     """A term of one family and times inside its domain, at 0, -0.0 and the
-    domain end, and inside the rounding slack beyond either end."""
+    domain end, and inside the relative rounding slack past the end."""
     term = draw(st.one_of(
         _PARAM.map(Constant), _PARAM.map(Sqrt), _PARAM.map(Lind),
         st.builds(Scaled, _BASE, _RADIUS), _RADIUS.map(TangentTerm),
         _RADIUS.map(lambda end: FromCallable(math.cos, end)), st.just(FromCallable(math.atan))))
     end = term.domain_end
-    probes = [st.floats(0.0, 10.0 if end is None else end), st.sampled_from((0.0, -0.0)),
-              st.floats(-1e-12, 0.0)]
+    probes = [st.floats(0.0, 10.0 if end is None else end), st.sampled_from((0.0, -0.0))]
     if end is not None:
-        probes += [st.just(end), st.floats(end, end + 1e-12 * max(1.0, end))]
+        probes += [st.just(end), st.floats(end, end * (1 + 1e-12))]
     return term, draw(st.lists(st.one_of(*probes), min_size=1, max_size=40))
 
 
@@ -176,10 +176,46 @@ def test_values_equal_value_bit_for_bit_in_every_family(case):
     expected = [term.value(t).hex() for t in probes]
     assert [v.hex() for v in term.values(probes).tolist()] == expected
     end = term.domain_end
-    outside = [-2e-12, math.nan] + ([] if end is None else [end + 2e-12 * max(1.0, end)])
+    if end is not None:
+        assert all(term.value(t) == term.value(end) for t in probes if t > end)
+    outside = [-5e-324, -2e-12, math.nan] + ([] if end is None else [end * (1 + 2e-12)])
     for t in outside:
         with pytest.raises(DomainError):
             term.values(probes + [t])
+
+
+@st.composite
+def _loewner_scaled_term(draw):
+    """Scaled(Lind(c), r), TangentTerm(r) or a sampled table scaled by r
+    (times by r**2, values by r), with r log-uniform in [1e-8, 1e4]."""
+    r = math.exp(draw(st.floats(math.log(1e-8), math.log(1e4))))
+    kind = draw(st.sampled_from(("lind", "tangent", "sampled")))
+    if kind == "lind":
+        return Scaled(Lind(draw(_PARAM)), r)
+    if kind == "tangent":
+        return TangentTerm(r)
+    steps = draw(st.lists(st.floats(1e-6, 5.0), min_size=1, max_size=10))
+    table = draw(st.lists(st.floats(-1e3, 1e3), min_size=len(steps) + 1,
+                          max_size=len(steps) + 1))
+    return Sampled(r * r * np.concatenate(([0.0], np.cumsum(steps))), r * np.asarray(table))
+
+
+@settings(max_examples=200)
+@given(term=_loewner_scaled_term(), tiny=st.floats(5e-324, 1e-12))
+@example(term=TangentTerm(1e-6), tiny=1e-13)
+@example(term=Scaled(Lind(4.0), 1e-7), tiny=5e-324)
+def test_domain_rule_is_scale_free(term, tiny):
+    # the domain end slack is relative, so the rule is the same at every
+    # Loewner scale; no time below 0 is in the domain
+    end = term.domain_end
+    assert term.value(end * (1 + 0.5e-12)) == term.value(end)
+    for t in (end * (1 + 4e-12), 3.0 * end, -tiny):
+        with pytest.raises(DomainError):
+            term.value(t)
+        with pytest.raises(DomainError):
+            term.values([t])
+        with pytest.raises(DomainError):
+            term.check_covers(t)
 
 
 def test_sampled_validation():

@@ -35,7 +35,7 @@ def evaluate_map(params, w):
     evaluated as log1p((beta - alpha)/(w - beta)) to avoid cancellation at
     large |w| (needed for capacity extraction).
     """
-    if params.t == 0.0:
+    if params.alpha == params.beta:  # t = 0: no slit yet, f is the identity
         return w
     a, b = params.alpha, params.beta
     warr = np.asarray(w, dtype=complex)
@@ -241,13 +241,14 @@ def test_hot_path_matches_public_solve(r, u):
     term = TangentTerm(r)
     t = u * term.domain_end
     # t / r**2 may overshoot t_max by an ulp at the domain end
-    p = solve_params(min(t / r ** 2, T_MAX_DEFAULT))
+    tau = min(t / r ** 2, T_MAX_DEFAULT)
+    p = solve_params(tau)
     expected = r * p.gamma_prevertex
     assert abs(term.value(t) - expected) <= 1e-15 * abs(expected)
     s = math.sqrt(-p.alpha)
-    residual = 3 * s ** 4 - 4 * math.sqrt(math.pi) * s ** 3 + 6 * p.t
+    residual = 3 * s ** 4 - 4 * math.sqrt(math.pi) * s ** 3 + 6 * tau
     floor = sys.float_info.min  # subnormal t carries fewer than 53 bits
-    assert abs(residual) <= max(1e-14 * min(1.0, 6 * p.t), floor)
+    assert abs(residual) <= max(1e-14 * min(1.0, 6 * tau), floor)
 
 
 def test_scaled_term_exponent_invariance():
