@@ -31,7 +31,7 @@ step size and the step's end. A row comes from one of two sources.
   one ``lam_values`` call each, the first time a run reaches a row the
   current block lacks, so the table's memory is bounded whatever the number
   of captures. A run starts whenever t is the previous capture time (or t0)
-  and the step proposal hp = max(h_prop, H_FLOOR) reaches the next capture.
+  and the step proposal hp = max(h_prop, 4*ulp(t)) reaches the next capture.
   It keeps hp for its whole length, since a capped step never changes
   h_prop, and ends on the first row hp does not reach, on a rejected step,
   at a collision or at t_end.
@@ -50,14 +50,14 @@ Two further features are tailored to Loewner dynamics:
 
 * collision detection: after each accepted step an optional gap function is
   checked against ``COLLISION_DELTA``; on crossing, the contact time is
-  refined by bisection on the step's cubic Hermite interpolant (``lam`` is
-  evaluated at each bisection time), and the solve terminates with
-  ``swallowed_at`` set;
+  refined by bisection on the step's cubic Hermite interpolant to a width of
+  1e-13 times the step's end (``lam`` is evaluated at each bisection time),
+  and the solve terminates with ``swallowed_at`` set;
 * capture times: the stepper lands exactly on requested times so trajectories
   contain them as samples (no interpolation error at query points).
 
-Steps never shrink below an absolute floor of 1e-14; if the error control
-demands less, integration fails loudly with the last valid state.
+Steps never shrink below 4 ulps of t, so every step moves t; if the error
+control demands less, integration fails loudly with the last valid state.
 
 Every scalar on the per-step path is a Python ``float`` or ``complex``: the
 start point is converted once, the capture times are held as a list and the
@@ -84,9 +84,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-
-#: absolute step floor in time
-H_FLOOR = 1e-14
 
 #: step budget of one solve
 MAX_STEPS = 500_000
@@ -153,7 +150,8 @@ def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
     lam : callable
         Driving value lam(t) -> float; called once per stage time.
     tol : float
-        Relative and absolute local error tolerance per step.
+        Relative and absolute local error tolerance per step; no step is
+        shorter than 4 ulps of its t (see the module docstring).
     gap : callable or None
         Distance function gap(y, l) >= 0; when it drops below
         ``COLLISION_DELTA`` after an accepted step, the crossing time is
@@ -167,7 +165,6 @@ def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
         their driving values from a block table (see the module docstring).
     """
     _check_tol(tol)
-    h_floor = H_FLOOR
     max_steps = MAX_STEPS
     delta = COLLISION_DELTA
     c2, c3, c4, c5 = _C[:4]
@@ -210,6 +207,7 @@ def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
     n_steps = 0
     while t < t_end:
         # max(h_prop, h_floor) without the call to max (see err_norm below)
+        h_floor = 4.0 * math.ulp(t)
         hp = h_floor if h_floor > h_prop else h_prop
         target = cap[icap] if icap < n_cap else t_end
         capped = t + hp >= target
@@ -249,7 +247,7 @@ def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
             err_norm = abs(err) / (tol + tol * (ay_new if ay_new > ay else ay))
             n_steps += 1
             if not err_norm <= 1.0:  # NaN fails too
-                if h <= h_floor:
+                if h <= 4.0 * math.ulp(t):  # h_floor at this step's t, which a run moves
                     raise IntegrationError("step size underflow (floor hit before tolerance)",
                                            t, y)
                 h_prop = (h * max(0.1, 0.9 * err_norm ** -0.2) if math.isfinite(err_norm)
@@ -340,9 +338,9 @@ def solve_singular_branch(lam, q: float, t_end: float, *, sign: int, tol: float,
         return y_i, (y_i - b_i) / gdt, g_i, tp_i
 
     t = SEED_FRACTION * (cap[0] if n_cap else t_end)
-    if t == 0.0:
-        raise IntegrationError("seed time underflows to 0", t, lam0)
     tp = t ** q
+    if tp * tp == 0.0:  # stages divide by t_i**(2q) >= tp * tp (t_i >= the seed)
+        raise IntegrationError("seed time underflows: t**(2q) is 0", t, lam0)
     d = lam(t) - lam0
     root = s * math.sqrt(0.25 * d * d + 4.0 * t)
     gap = 4.0 * t / (0.5 * d + root) if s * d >= 0.0 else root - 0.5 * d
@@ -460,7 +458,7 @@ def _refine_crossing(gap, lam, threshold, t0, y0, f0, t1, y1, f1):
             lo = mid
         else:
             hi = mid
-        if (hi - lo) * abs(h) <= max(1e-16, 1e-13 * abs(t1)):
+        if (hi - lo) * abs(h) <= 1e-13 * abs(t1):
             break
     theta = hi
     return t0 + theta * h, _hermite(theta, y0, hf0, y1, hf1)

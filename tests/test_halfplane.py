@@ -84,11 +84,40 @@ def test_domain_error_beyond_term_domain():
 
 
 def test_step_underflow_carries_last_state(monkeypatch):
+    # with no contact before the gap closes, the steps into the square-root
+    # contact at t = 1 shrink to the floor of 4 ulps of t a few ulps short of it
     monkeypatch.setattr(integrate, "COLLISION_DELTA", 1e-30)
     with pytest.raises(IntegrationError) as err:
         evolve_boundary(Lind(4.0), 2.0, 1.0)
     assert err.value.t > 0.999
     assert err.value.y == pytest.approx(4.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("r", [1e2, 1e3, 1e8])
+def test_scaled_lind_meets_the_step_floor_at_its_swallowing_time(r):
+    # Loewner scaling moves the contact of Lind(4) from 2 to t = r**2, with
+    # the gap of size r * sqrt(1 - t / r**2). A floor of 4 ulps of t scales
+    # with it and is met within a few ulps of r**2; an absolute floor of
+    # 1e-14 lies below half an ulp of t there, so its steps left t in place
+    # and the solve ran past the contact or through its step budget
+    with pytest.raises(IntegrationError, match="step size underflow") as err:
+        evolve_boundary(Scaled(Lind(4.0), r), 2.0 * r, r * r, 1e-10)
+    assert 1.0 - err.value.t / r**2 < 1e-14
+
+
+@pytest.mark.parametrize("c", [4.5, 5.0, 6.0])
+def test_mid_domain_collisions_are_caught(c):
+    # lambda(t) = c sqrt(s) - c sqrt(|t - s|) approaches its peak at t = s as
+    # Lind(c) does at t = 1; for c > 4 it swallows a point just right of
+    # lambda(0) at t = s, and every contact rule must report that
+    missed = []
+    for s in np.linspace(0.05, 0.95, 19):
+        s = float(s)
+        term = FromCallable(lambda t, s=s: c * math.sqrt(s) - c * math.sqrt(abs(t - s)), 1.0)
+        traj = evolve_boundary(term, term.value(0.0) + 1e-3, 1.0, tol=1e-9)
+        if not (traj.is_swallowed and abs(traj.swallowed_at - s) < 1e-9):
+            missed.append((s, traj.swallowed_at))
+    assert missed == []
 
 
 def test_singular_constant_pm_two_sqrt_t():

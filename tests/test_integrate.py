@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from loewner import integrate
 from loewner.driving import DrivingTerm, Lind, Scaled, Sqrt
 from loewner.errors import IntegrationError
-from loewner.halfplane import singular_plus
+from loewner.halfplane import singular_minus, singular_plus
 from loewner.integrate import solve_scalar, solve_singular_branch
 from loewner.tangent import TangentTerm, solve_params
 
@@ -323,14 +323,33 @@ def test_t_end_before_t0_or_nan_is_rejected():
 
 
 def test_step_floor_failure_carries_state():
-    # integrable singularity y' = 1/(2 sqrt(1-t)) with a tolerance the floor
-    # cannot satisfy across the endpoint; the time dependence is the driving value
+    # integrable singularity y' = 1/(2 sqrt(1-t)) with a tolerance that steps
+    # of 4 ulps of t cannot satisfy near the endpoint; the time dependence is
+    # the driving value
     def rhs(y, l):
         return 0.5 / math.sqrt(max(l, 1e-300))
 
     with pytest.raises(IntegrationError) as err:
         solve_scalar(rhs, lambda t: 1.0 - t, 0.0, 0.0, 1.0, tol=1e-16)
     assert err.value.t > 0.9
+
+
+def test_a_span_of_two_ulps_takes_one_step():
+    # at t = 1e6 a step below half an ulp of t does not move t; the floor of
+    # 4 ulps of t reaches t_end, and the one capped step lands on it
+    t0 = 1e6
+    t_end = t0 + 2 * math.ulp(t0)
+    res = solve_scalar(lambda y, l: 1.0, no_lam, t0, 0.0, t_end)
+    assert res.n_steps == 1
+    assert abs(res.values[-1] - (t_end - t0)) <= math.ulp(t_end - t0)
+
+
+def test_contact_near_zero_is_refined_relative_to_its_time():
+    # y' = -1 meets the collision threshold at t = 1e-10: the bisection width
+    # is relative to the step's end, with no absolute floor
+    y0 = integrate.COLLISION_DELTA + 1e-10
+    res = solve_scalar(lambda y, l: -1.0, no_lam, 0.0, y0, 2e-10, gap=lambda y, l: abs(y))
+    assert abs(res.swallowed_at / 1e-10 - 1.0) < 1e-11
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
@@ -398,3 +417,7 @@ def test_singular_branch_rejects_what_it_cannot_solve():
     # a seed time of 1e-12 * 5e-324 is 0, where Y = (h - lam(0)) / t**q is undefined
     with pytest.raises(IntegrationError, match="seed time underflows"):
         solve_singular_branch(lam, 1.0 / 3.0, 5e-324, sign=1, tol=1e-10, capture=None)
+    # seed times in the term's domain whose t**(2q) underflows to 0 (q = 2/3)
+    for term, t_end in ((TangentTerm(1e-150), 5e-302), (TangentTerm(1.0), 1e-300)):
+        with pytest.raises(IntegrationError, match="seed time underflows"):
+            singular_minus(term, t_end)
