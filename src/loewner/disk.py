@@ -49,8 +49,7 @@ def _evolve(rhs, gap, term: DrivingTerm, y0, t_end: float, tol: float,
     if not cmath.isfinite(y0):
         raise ValueError(f"start point {y0!r} is not finite")
     term.check_covers(t_end)
-    res = solve_scalar(rhs, term.value, 0.0, y0, t_end, tol=tol, gap=gap, capture=capture,
-                       lam_values=term.values)
+    res = solve_scalar(rhs, term.value, 0.0, y0, t_end, tol=tol, gap=gap, capture=capture)
     return Trajectory(res.times, res.values.astype(type(y0)), res.swallowed_at)
 
 

@@ -9,8 +9,9 @@ ODE on the line. The two singular solutions h-(t) <= lambda(t) <= h+(t) start
 at the singular point lambda(0) itself and bound the interval swallowed by
 time t.
 
-Both leave the singular point through ``integrate.solve_singular_branch``:
-implicit SDIRK steps in the self-similar variables tau = log t,
+Both are solved from the singular point to t_end by one
+``integrate.solve_singular_branch`` call each, with no handover to the
+explicit ``solve_scalar``: implicit SDIRK steps in the self-similar variables tau = log t,
 Y = (h - lambda(0))/t**q, each stage a quadratic solved in closed form. A
 term whose onset lambda(t) - lambda(0) ~ t**p has p <= 1/2
 (``DrivingTerm.onset_exponent``; 1/3 for the tangent circular slit) has
@@ -19,8 +20,7 @@ q = 1 - p for h-; for p = 1/2 both behave like +-A*sqrt(t). For p < 1/2 the
 upper solution is stiff at 0: there h+ - lambda ~ t**(1 - p), so the
 relaxation rate 2/(h+ - lambda)**2 grows like t**(2p - 2) (0.62 t**(-4/3)
 for the tangent slit) and would hold an explicit stepper at its stability
-limit. That branch stays implicit up to t_end. Every other branch hands
-over to the explicit ``solve_scalar`` at its first capture time (or at t_end).
+limit.
 """
 
 from __future__ import annotations
@@ -86,8 +86,7 @@ def _evolve(term: DrivingTerm, y0, t_end: float, tol: float, capture=None) -> Tr
     if not cmath.isfinite(y0):
         raise ValueError(f"start point {y0!r} is not finite")
     term.check_covers(t_end)
-    res = solve_scalar(_rhs, term.value, 0.0, y0, t_end, tol=tol, gap=_gap,
-                       capture=capture, lam_values=term.values)
+    res = solve_scalar(_rhs, term.value, 0.0, y0, t_end, tol=tol, gap=_gap, capture=capture)
     return Trajectory(res.times, res.values.astype(type(y0)), res.swallowed_at)
 
 
@@ -121,24 +120,18 @@ def _singular(term: DrivingTerm, sign: int, t_end: float, tol: float,
               capture=None) -> Trajectory:
     """Singular solution on the side ``sign`` started at (0, lambda(0)).
 
-    The branch solve (see the module docstring) takes q from the term's onset
-    exponent p. Unless it is stiff, it stops at the first capture time t1 (or
-    t_end), and one ``solve_scalar`` from t1 takes the remaining captures.
+    One branch solve (see the module docstring), with q from the term's onset
+    exponent p, runs to t_end and takes every capture; no ``solve_scalar``
+    follows it.
     """
     term.check_covers(t_end)
     lam0 = term.value(0.0)
     if t_end == 0.0:
         return Trajectory(np.array([0.0]), np.array([lam0]))
 
-    cap = np.asarray([] if capture is None else capture, dtype=float)
     p = term.onset_exponent
-    stiff = sign > 0 and p < 0.5
-    t1 = t_end if stiff else float(np.min(cap[cap > 0.0], initial=t_end))
-    res = integrate.solve_singular_branch(term.value, p if sign > 0 else 1.0 - p, t1,
-                                          sign=sign, tol=tol, capture=cap if stiff else None)
-    if not stiff:
-        res = solve_scalar(_rhs, term.value, t1, res.values[-1], t_end, tol=tol,
-                           capture=cap, lam_values=term.values)
+    res = integrate.solve_singular_branch(term.value, p if sign > 0 else 1.0 - p, t_end,
+                                          sign=sign, tol=tol, capture=capture)
     return Trajectory(np.concatenate(([0.0], res.times)),
                       np.concatenate(([lam0], res.values)))
 

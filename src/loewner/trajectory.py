@@ -52,7 +52,7 @@ class Trajectory:
         return self.values[-1]
 
     def value_at(self, t: float):
-        """Value at a sample time (the solver lands on requested capture times)."""
+        """Value at a sample time (requested capture times are samples)."""
         return self.values_at([t])[0]
 
     def values_at(self, ts) -> np.ndarray:

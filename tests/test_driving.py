@@ -170,8 +170,9 @@ def _term_and_probes(draw):
 @settings(max_examples=200)
 @given(case=_term_and_probes())
 def test_values_equal_value_bit_for_bit_in_every_family(case):
-    # values is the stepper's block evaluation: any drift in the last bit
-    # would change the solves that read their driving values from it
+    # values is the array evaluation the bridge and the CLI sample terms
+    # with: any drift in the last bit would set them apart from the solves,
+    # which call value
     term, probes = case
     expected = [term.value(t).hex() for t in probes]
     assert [v.hex() for v in term.values(probes).tolist()] == expected

@@ -139,14 +139,15 @@ def test_singular_sqrt_family_is_exact_ray(c):
     # for lambda = c sqrt(t) the singular solutions are A+- sqrt(t) with
     # A+- = (c +- sqrt(c^2 + 16))/2; substitution: (A sqrt(t))' = A/(2 sqrt t)
     # equals 2/((A - c) sqrt t) iff A^2 - cA - 4 = 0. The branch starts on
-    # that ray, its fixed point; on dense captures every step is short, so
-    # the start is all the tolerance measures
+    # that ray, a fixed point of Y = (h - lambda(0))/sqrt(t) where dY/dtau
+    # is 0, so its steps and the Hermite fill of the captures between them
+    # keep Y on it up to rounding
     grid = np.geomspace(1e-6, 1.0, 3000)
     for solve, sign in ((singular_plus, 1.0), (singular_minus, -1.0)):
         A = 0.5 * (c + sign * math.sqrt(c * c + 16.0))
         assert A * A - c * A - 4.0 == pytest.approx(0.0, abs=1e-12)
         h = solve(Sqrt(c), 1.0, capture=grid).values_at(grid)
-        assert np.max(np.abs(h / (A * np.sqrt(grid)) - 1.0)) <= 1e-10
+        assert np.max(np.abs(h / (A * np.sqrt(grid)) - 1.0)) <= 1e-12
     assert sharp_ratio_bound(1.0) == pytest.approx((1 + math.sqrt(17)) / 2, abs=1e-14)
 
 
@@ -211,7 +212,7 @@ def test_ratio_check_needs_a_closed_form_norm():
 def test_tangent_singular_pair_is_covariant_under_loewner_scaling(r, e):
     # TangentTerm(r) is the r-scaled tangent slit, so its singular pair is
     # r * (alpha, beta)(t / r**2) at t = 10**e of the domain end; h+ runs
-    # through the stiff layer, h- hands over to solve_scalar at the capture
+    # through the stiff layer, h- through the same blown-up variables
     term = TangentTerm(r)
     t = min(term.domain_end * 10.0 ** e, term.domain_end)
     p = solve_params(min(t / r**2, T_MAX_DEFAULT))  # may overshoot by an ulp
@@ -222,16 +223,15 @@ def test_tangent_singular_pair_is_covariant_under_loewner_scaling(r, e):
 
 
 def test_only_the_upper_singular_solution_of_a_steep_term_is_stiff(monkeypatch):
-    # every singular solve leaves the driving point through one branch call
-    # with q = p for h+ and 1 - p for h-; only the stiff one, h+ of a p < 1/2
-    # term, lands on the captures itself, and every other one hands over to
-    # one solve_scalar that takes them
+    # every singular solve is one branch call with q = p for h+ and 1 - p for
+    # h-, so only h+ of a p < 1/2 term gets the stiff q < 1/2; each call runs
+    # to t_end, receives the captures and is followed by no solve_scalar
     branch, scalar = [], []
     implicit, explicit = integrate.solve_singular_branch, halfplane.solve_scalar
 
-    def spy_branch(lam, q, *args, capture, **kwargs):
-        branch.append((q, capture is not None))
-        return implicit(lam, q, *args, capture=capture, **kwargs)
+    def spy_branch(lam, q, t_end, *, capture, **kwargs):
+        branch.append((q, t_end, capture))
+        return implicit(lam, q, t_end, capture=capture, **kwargs)
 
     monkeypatch.setattr(integrate, "solve_singular_branch", spy_branch)
     monkeypatch.setattr(halfplane, "solve_scalar",
@@ -240,15 +240,18 @@ def test_only_the_upper_singular_solution_of_a_steep_term_is_stiff(monkeypatch):
     def calls(solve, term, t_end):
         branch.clear()
         scalar.clear()
-        solve(term, t_end, capture=np.linspace(0.0, t_end, 5)[1:])
-        return [(pytest.approx(q), captured) for q, captured in branch], len(scalar)
+        grid = np.linspace(0.0, t_end, 5)[1:]
+        traj = solve(term, t_end, capture=grid)
+        assert traj.values_at(grid).size == 4
+        assert [(t, capture is grid) for _, t, capture in branch] == [(t_end, True)]
+        return pytest.approx(branch[0][0]), len(scalar)
 
     for term in (TangentTerm(1.0), Scaled(TangentTerm(1.0), 2.0)):
-        assert calls(singular_plus, term, 0.01) == ([(1.0 / 3.0, True)], 0)
-        assert calls(singular_minus, term, 0.01) == ([(2.0 / 3.0, False)], 1)
+        assert calls(singular_plus, term, 0.01) == (1.0 / 3.0, 0)
+        assert calls(singular_minus, term, 0.01) == (2.0 / 3.0, 0)
     for term in (Sqrt(1.0), Lind(4.0), Constant(0.0)):
         for solve in (singular_plus, singular_minus):
-            assert calls(solve, term, 0.5) == ([(0.5, False)], 1)
+            assert calls(solve, term, 0.5) == (0.5, 0)
 
 
 # --- flow properties ---------------------------------------------------------

@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from loewner import integrate
+from loewner import halfplane, integrate
 from loewner.driving import DrivingTerm, Lind, Scaled, Sqrt
 from loewner.errors import IntegrationError
-from loewner.halfplane import singular_minus, singular_plus
+from loewner.halfplane import evolve_boundary, singular_minus, singular_plus
 from loewner.integrate import solve_scalar, solve_singular_branch
 from loewner.tangent import TangentTerm, solve_params
 
@@ -103,179 +102,83 @@ def _hp_gap(y, l):
     return abs(y - l)
 
 
-CAPTURE_CASES = {  # term, t0, y0, t_end, capture, tol
-    # one capped step per capture interval, swallowed near t = 1
-    "capture-bound": (Lind(4.0), 0.0, 2.0, 1.0, 1.0 - np.geomspace(1.0, 1e-8, 400)[1:], 1e-10),
-    # sparse captures: uncapped steps in between, and a tail after the last one
-    "sparse": (Scaled(Lind(3.0), 1.3), 0.0, 2.0, 1.69, [0.01, 0.3, 0.31, 1.0], 1e-10),
-    # a start off 0, captures before it, a repeated one and one at t_end
-    "offset": (Sqrt(2.0), 0.05, 0.5, 1.0,
-               [0.0, 0.1, 0.1 + 1e-9, 0.2, 0.75, 0.9, 1.0, 0.95, 0.95], 1e-10),
-    # two-digit captures, whose stage times t + c*h round unlike other
-    # groupings of the same sum
-    "decimal": (Sqrt(1.0), 0.0, 3.0, 1.0, np.round(np.linspace(0.01, 1.0, 100), 2), 1e-10),
-    # capped steps whose t + h misses the target by rounding (stage 7 then
-    # differs from stage 6)
-    "wide": (Sqrt(1.0), 0.0, 1e3, 1.0, [0.001, 0.009, 0.028], 1e-6),
-    # a capture run whose capped step from 0.2 fails the error test: the
-    # general steps take over and land on 0.9, where a second run starts
-    # through the dense cluster
-    "rejected-in-run": (Lind(4.0), 0.0, 2.0, 0.99,
-                        np.concatenate((np.linspace(0.05, 0.9, 18), np.linspace(0.9, 0.91, 41)[1:])),
-                        1e-10),
-    # one run through 49 capture intervals whose last capture is t_end
-    "ends-on-capture": (Scaled(Lind(4.0), 1.3), 0.0, 2.6, 1.0, np.linspace(0.02, 1.0, 50), 1e-10),
-}
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_dense_captures_are_within_tol(tol):
+    # y' = -l*y with l = 1: every capture is filled from the step's order-4
+    # continuous extension, with an error below tol
+    cap = np.linspace(0.01, 5.0, 500)
+    res = solve_scalar(lambda y, l: -l * y, lambda t: 1.0, 0.0, 1.0, 5.0, tol=tol, capture=cap)
+    i = np.searchsorted(res.times, cap)
+    assert np.array_equal(res.times[i], cap)
+    assert res.n_steps < 200
+    assert np.max(np.abs(res.values[i] - np.exp(-cap))) <= tol
 
 
-@pytest.mark.parametrize("case", sorted(CAPTURE_CASES))
-@pytest.mark.parametrize("block_rows", [1, 3, 256])
-def test_block_table_changes_no_bit(case, block_rows, monkeypatch):
-    # the scalar path is the reference: the table holds the same IEEE stage
-    # times and the same driving values, so the right-hand side sees the same
-    # Python floats (never numpy scalars) and every sample is the same float
-    monkeypatch.setattr(integrate, "_BLOCK_ROWS", block_rows)
-    term, t0, y0, t_end, capture, tol = CAPTURE_CASES[case]
-    seen = {False: [], True: []}
+def test_captures_leave_the_steps_as_they_are():
+    # captures do not cut steps: the step ends of a solve without captures
+    # are samples of the same solve with them, bit for bit, and a capture on
+    # a step end is one sample, so the times stay strictly increasing
+    term = Lind(3.0)
 
-    def solve(vectorized):
-        def rhs(y, l):
-            seen[vectorized].append((type(l), l.hex()))
-            return 2.0 / (y - l)
+    def solve(capture):
+        return solve_scalar(lambda y, l: 2.0 / (y - l), term.value, 0.0, 2.0, 1.0, tol=1e-10,
+                            gap=_hp_gap, capture=capture)
 
-        return solve_scalar(rhs, term.value, t0, y0, t_end, tol=tol, gap=_hp_gap,
-                            capture=capture, lam_values=lam_values if vectorized else None)
-
-    blocks = []
-
-    def lam_values(ts):
-        blocks.append(ts.size)
-        return term.values(ts)
-
-    ref, res = solve(False), solve(True)
-    assert seen[True] == seen[False]
-    assert {kind for kind, _ in seen[True]} == {float}
-    assert res.times.tobytes() == ref.times.tobytes()
-    assert res.values.tobytes() == ref.values.tobytes()
-    assert (res.swallowed_at, res.n_steps) == (ref.swallowed_at, ref.n_steps)
-    # six values per capped step, at most _BLOCK_ROWS steps per block
-    assert blocks and max(blocks) <= 6 * block_rows
+    ref = solve(None)
+    ends = ref.times[1:-1:3]
+    cap = np.sort(np.concatenate((ends, np.linspace(0.001, 0.999, 101))))
+    res = solve(cap)
+    assert np.all(np.diff(res.times) > 0)
+    assert res.n_steps == ref.n_steps
+    assert set(ref.times.tolist()) | set(cap.tolist()) == set(res.times.tolist())
+    assert res.values[np.isin(res.times, ref.times)].tobytes() == ref.values.tobytes()
 
 
-@st.composite
-def _capture_layouts(draw):
-    """(t0, capture) for a Lind(4) solve from 2 to t_end = 1, where it is
-    swallowed: sorted random captures, some repeated, some before t0 and
-    maybe one at t_end, and a cluster accumulating at the collision, where a
-    capture run's frozen proposal fails the error test."""
-    t0 = draw(st.floats(0.0, 0.5))
-    times = st.floats(-0.1, 1.0)
-    spread = draw(st.lists(times, max_size=30))
-    repeats = draw(st.lists(st.sampled_from(spread), max_size=3)) if spread else []
-    at_end = [1.0] if draw(st.booleans()) else []
-    far, near = draw(st.floats(1e-3, 0.3)), draw(st.floats(1e-9, 1e-4))
-    cluster = 1.0 - np.geomspace(far, near, draw(st.integers(40, 200)))
-    return t0, np.sort(np.concatenate((spread, repeats, at_end, cluster)))
+def test_only_captures_before_the_contact_become_samples(monkeypatch):
+    # y' = -1 from 1 with gap y meets the threshold 0.5 at t = 0.5 inside one
+    # long step: the captures of that step before the contact are samples
+    # (contd5 is exact on a line), and none after it is
+    monkeypatch.setattr(integrate, "COLLISION_DELTA", 0.5)
+
+    def solve(capture):
+        return solve_scalar(lambda y, l: -1.0, no_lam, 0.0, 1.0, 2.0, gap=lambda y, l: y,
+                            capture=capture)
+
+    ref = solve(None)
+    t_start, tau = ref.times[-2], ref.swallowed_at
+    assert t_start < 0.4 and tau == pytest.approx(0.5, abs=1e-9)
+    before = np.linspace(t_start, tau, 6)[1:-1]
+    res = solve(np.concatenate((before, [0.51, 0.6, 1.5])))
+    assert res.swallowed_at == tau and res.times[-1] == tau
+    assert res.times[-6:-1].tolist() == [t_start] + before.tolist()
+    assert res.values[-5:-1] == pytest.approx(1.0 - before, abs=1e-15)
 
 
-@settings(max_examples=40)
-@given(layout=_capture_layouts(), block_rows=st.sampled_from([1, 3, 256]))
-def test_block_table_changes_no_bit_for_random_layouts(layout, block_rows):
-    t0, capture = layout
-    term = Lind(4.0)
-    kinds = set()
+def test_capture_bound_solve_takes_the_steps_of_a_free_solve(monkeypatch):
+    # the Lind(4) bridge solve on a 5000-node grid dense towards its
+    # swallowing time: captures are filled, not landed on, so the steps stay
+    # those of the solve without captures
+    steps = []
+    solve = halfplane.solve_scalar
 
-    def rhs(y, l):
-        kinds.add(type(l))
-        return 2.0 / (y - l)
+    def spy(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        steps.append(res.n_steps)
+        return res
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(integrate, "_BLOCK_ROWS", block_rows)
-        ref, res = (solve_scalar(rhs, term.value, t0, 2.0, 1.0, tol=1e-10, gap=_hp_gap,
-                                 capture=capture, lam_values=lam_values)
-                    for lam_values in (None, term.values))
-    assert kinds == {float}
-    assert res.times.tobytes() == ref.times.tobytes()
-    assert res.values.tobytes() == ref.values.tobytes()
-    assert (res.swallowed_at, res.n_steps) == (ref.swallowed_at, ref.n_steps)
-
-
-def _step_kinds(term, t0, y0, t_end, capture, tol):
-    """Solve with ``lam_values`` and tell the steps apart by the calls they
-    make: every step calls rhs six times (k2 to k7), a step of a capture run
-    calls ``lam`` for none of them, and only an accepted step is followed by
-    a gap check. Returns the result and one (run, accepted) pair per step."""
-    calls = []
-
-    def rhs(y, l):
-        calls.append("rhs")
-        return 2.0 / (y - l)
-
-    def lam(t):
-        calls.append("lam")
-        return term.value(t)
-
-    def gap(y, l):
-        calls.append("gap")
-        return _hp_gap(y, l)
-
-    res = solve_scalar(rhs, lam, t0, y0, t_end, tol=tol, gap=gap, capture=capture,
-                       lam_values=term.values)
-    kinds = []
-    i = calls.index("rhs") + 1  # past k1
-    while calls[i:].count("rhs") >= 6:
-        start, n_rhs = i, 0
-        while n_rhs < 6:
-            n_rhs += calls[i] == "rhs"
-            i += 1
-        kinds.append(("lam" not in calls[start:i], i < len(calls) and calls[i] == "gap"))
-    return res, kinds
-
-
-def test_rejected_run_step_hands_over_and_a_later_run_starts():
-    res, kinds = _step_kinds(*CAPTURE_CASES["rejected-in-run"])
-    assert res.swallowed_at is None and len(kinds) == res.n_steps
-    first_reject = kinds.index((True, False))
-    # the run's rejected step is retried by a general step, and a later run
-    # takes accepted steps again
-    assert kinds[first_reject - 1] == (True, True)
-    assert kinds[first_reject + 1][0] is False
-    assert (True, True) in kinds[first_reject + 1:]
-
-
-def test_run_ends_on_a_final_capture_at_t_end():
-    term, t0, y0, t_end, capture, tol = CAPTURE_CASES["ends-on-capture"]
-    assert capture[-1] == t_end
-    res, kinds = _step_kinds(term, t0, y0, t_end, capture, tol)
-    # no step after the one landing on t_end, and no zero-length one
-    assert res.times[-1] == t_end and np.all(np.diff(res.times) > 0)
-    assert kinds[-49:] == [(True, True)] * 49 and len(kinds) == res.n_steps
-
-
-@pytest.mark.parametrize("block_rows", [1, 3, 256])
-def test_step_budget_running_out_in_a_run_matches_the_scalar_path(block_rows, monkeypatch):
-    term, t0, y0, t_end, capture, tol = CAPTURE_CASES["rejected-in-run"]
-    _, kinds = _step_kinds(term, t0, y0, t_end, capture, tol)
-    budget = 70
-    # steps 70 and 71 (counted from 1) are steps of the second run
-    assert kinds[budget - 1: budget + 1] == [(True, True)] * 2
-    assert (True, False) in kinds[:budget]
-    monkeypatch.setattr(integrate, "_BLOCK_ROWS", block_rows)
-    monkeypatch.setattr(integrate, "MAX_STEPS", budget)
-    errors = []
-    for lam_values in (None, term.values):
-        with pytest.raises(IntegrationError, match="step budget exhausted") as err:
-            solve_scalar(lambda y, l: 2.0 / (y - l), term.value, t0, y0, t_end, tol=tol,
-                         gap=_hp_gap, capture=capture, lam_values=lam_values)
-        errors.append((str(err.value), err.value.t.hex(), err.value.y.hex()))
-    assert errors[0] == errors[1]
-    assert float.fromhex(errors[0][1]) in set(capture.tolist())
+    monkeypatch.setattr(halfplane, "solve_scalar", spy)
+    n = 5000
+    grid = np.concatenate(([0.0], 1.0 - np.geomspace(1.0, 1e-8, n - 1)[1:], [1.0]))
+    for capture in (None, grid):
+        evolve_boundary(Scaled(Lind(4.0), 1.0), 2.0, 1.0, 1e-10, capture=capture)
+    free, captured = steps
+    assert captured <= 2 * free
 
 
 def test_capture_bound_solve_reads_its_driving_values_from_blocks(monkeypatch):
-    # evaluated per stage time, this solve makes 15348 scalar calls; with the
-    # block table only the first value, the seed solve and the steps that do
-    # not start on a capture time are left
+    # the branch fills its 3000 captures from its own steps instead of
+    # landing on each: lam(0), the seed time and five stages per step, 33
+    # scalar calls in all
     calls = []
     value = DrivingTerm.value
 
@@ -285,7 +188,7 @@ def test_capture_bound_solve_reads_its_driving_values_from_blocks(monkeypatch):
 
     monkeypatch.setattr(DrivingTerm, "value", counted)
     singular_plus(Sqrt(2.0), 1.0, capture=np.geomspace(1e-6, 1.0, 3000))
-    assert len(calls) <= 1000
+    assert len(calls) <= 100
 
 
 def test_collision_refinement(monkeypatch):
@@ -379,6 +282,26 @@ def test_singular_branch_matches_the_tangent_prevertex():
         assert res.times[i] == t
         assert res.values[i] / solve_params(t).beta == pytest.approx(1.0, rel=1e-6)
     assert res.values[-1] / solve_params(0.05).beta == pytest.approx(1.0, rel=1e-9)
+
+
+def test_singular_branch_lands_on_its_first_capture_and_on_t_end():
+    # every step's last stage sits on its end: the branch evaluates lam at
+    # its first capture and at t_end, and fills the later captures from its
+    # steps without evaluating lam there
+    term = TangentTerm(1.0)
+    seen = set()
+
+    def lam(t):
+        seen.add(t)
+        return term.value(t)
+
+    cap = np.geomspace(1e-9, 0.04, 40)
+    res = solve_singular_branch(lam, term.onset_exponent, 0.05, sign=1, tol=1e-10,
+                                capture=cap)
+    assert cap[0] in seen and 0.05 in seen
+    assert not seen & set(cap[1:].tolist())
+    assert set(cap.tolist()) <= set(res.times.tolist()) and res.times[-1] == 0.05
+    assert np.all(np.diff(res.times) > 0)
 
 
 def test_singular_branch_calls_lam_once_per_stage_time():
