@@ -121,8 +121,8 @@ def test_capture_bound_disk_flow_is_pinned():
 
 
 @pytest.mark.parametrize("exponent, pinned", [
-    pytest.param(0.5, "0x1.fff7bc218ff2fp+1", id="1/2"),
-    pytest.param(1.0 / 3.0, "0x1.dc11fa3d4ba06p+1", id="1/3"),
+    pytest.param(0.5, "0x1.fff7bc218ff2fp+1", id="half"),
+    pytest.param(1.0 / 3.0, "0x1.dc11fa3d4ba06p+1", id="third"),
 ])
 def test_holder_norm_of_bridge_term_is_pinned(exponent, pinned):
     # all 3000 samples of the bridge's disk term, so every index gap is scanned

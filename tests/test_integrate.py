@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loewner import halfplane, integrate
 from loewner.driving import DrivingTerm, Lind, Scaled, Sqrt
@@ -132,6 +133,175 @@ def test_captures_leave_the_steps_as_they_are():
     assert res.n_steps == ref.n_steps
     assert set(ref.times.tolist()) | set(cap.tolist()) == set(res.times.tolist())
     assert res.values[np.isin(res.times, ref.times)].tobytes() == ref.values.tobytes()
+
+
+CAPTURE_CASES = {  # term, t0, y0, t_end, capture, tol
+    # captures accumulating at the swallowing time near t = 1
+    "capture-bound": (Lind(4.0), 0.0, 2.0, 1.0, 1.0 - np.geomspace(1.0, 1e-8, 400)[1:], 1e-10),
+    # sparse captures: steps without any in between, and a tail after the last one
+    "sparse": (Scaled(Lind(3.0), 1.3), 0.0, 2.0, 1.69, [0.01, 0.3, 0.31, 1.0], 1e-10),
+    # a start off 0, captures before it, a repeated one and one at t_end
+    "offset": (Sqrt(2.0), 0.05, 0.5, 1.0,
+               [0.0, 0.1, 0.1 + 1e-9, 0.2, 0.75, 0.9, 1.0, 0.95, 0.95], 1e-10),
+    # two-digit captures, some of which fall on no grid the steps make
+    "decimal": (Sqrt(1.0), 0.0, 3.0, 1.0, np.round(np.linspace(0.01, 1.0, 100), 2), 1e-10),
+    # a loose tolerance: steps far longer than the gaps between the captures
+    "wide": (Sqrt(1.0), 0.0, 1e3, 1.0, [0.001, 0.009, 0.028], 1e-6),
+    # a dense cluster of captures through the steps that fail the error test
+    # from t = 0.996 on, and captures after them
+    "rejected-in-run": (Lind(4.0), 0.0, 2.0, 0.999,
+                        np.concatenate((np.linspace(0.05, 0.99, 18),
+                                        np.linspace(0.99, 0.999, 41)[1:])),
+                        1e-10),
+    # 50 captures whose last one is t_end
+    "ends-on-capture": (Scaled(Lind(4.0), 1.3), 0.0, 2.6, 1.0, np.linspace(0.02, 1.0, 50), 1e-10),
+}
+
+
+def _assert_captures_change_no_bit(term, t0, y0, t_end, capture, tol, stride):
+    """Solve without captures, with ``capture`` and with every ``stride``-th
+    capture: the three take the same steps, every sample at a step end or at
+    a capture of the thinned solve is the same float in the full one, the
+    captures before a contact are all samples, and the right-hand side sees
+    Python floats only."""
+    kinds = set()
+
+    def solve(cap):
+        def rhs(y, l):
+            kinds.add(type(l))
+            return 2.0 / (y - l)
+
+        return solve_scalar(rhs, term.value, t0, y0, t_end, tol=tol, gap=_hp_gap, capture=cap)
+
+    capture = np.asarray(capture, dtype=float)
+    ref, res, thin = solve(None), solve(capture), solve(capture[::stride])
+    assert kinds == {float}
+    assert (res.swallowed_at, res.n_steps) == (ref.swallowed_at, ref.n_steps)
+    assert (thin.swallowed_at, thin.n_steps) == (ref.swallowed_at, ref.n_steps)
+    assert np.all(np.diff(res.times) > 0)
+    t_stop = t_end if ref.swallowed_at is None else ref.swallowed_at
+    inside = capture[(capture > t0) & (capture < t_stop)]
+    assert set(res.times.tolist()) == set(ref.times.tolist()) | set(inside.tolist())
+    for part in (ref, thin):
+        assert res.values[np.isin(res.times, part.times)].tobytes() == part.values.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(CAPTURE_CASES))
+@pytest.mark.parametrize("stride", [1, 3, 256])
+def test_block_table_changes_no_bit(case, stride):
+    # named for the block of stage values capture steps were once read from;
+    # captures now cut no step, so the bits to keep are those of the solve
+    # without captures, and a capture's sample must not depend on which
+    # other captures are asked for
+    _assert_captures_change_no_bit(*CAPTURE_CASES[case], stride)
+
+
+@st.composite
+def _capture_layouts(draw):
+    """(t0, capture) for a Lind(4) solve from 2 to t_end = 1, where it is
+    swallowed: sorted random captures, some repeated, some before t0 and
+    maybe one at t_end, and a cluster accumulating at the collision, where
+    steps fail the error test and the contact cuts the last one."""
+    t0 = draw(st.floats(0.0, 0.5))
+    times = st.floats(-0.1, 1.0)
+    spread = draw(st.lists(times, max_size=30))
+    repeats = draw(st.lists(st.sampled_from(spread), max_size=3)) if spread else []
+    at_end = [1.0] if draw(st.booleans()) else []
+    far, near = draw(st.floats(1e-3, 0.3)), draw(st.floats(1e-9, 1e-4))
+    cluster = 1.0 - np.geomspace(far, near, draw(st.integers(40, 200)))
+    return t0, np.sort(np.concatenate((spread, repeats, at_end, cluster)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(layout=_capture_layouts(), stride=st.sampled_from([1, 3, 256]))
+def test_block_table_changes_no_bit_for_random_layouts(layout, stride):
+    t0, capture = layout
+    _assert_captures_change_no_bit(Lind(4.0), t0, 2.0, 1.0, capture, 1e-10, stride)
+
+
+def _step_kinds(term, t0, y0, t_end, capture, tol):
+    """Solve on ``capture`` and tell the steps apart by the calls they make:
+    a step calls ``lam`` at t + h/5 and t + 3h/10 first, which give its start
+    t, then rhs six times (k2 to k7), and only an accepted step is followed
+    by a gap check. Returns the result and one (t, accepted) pair per step."""
+    calls = []
+
+    def rhs(y, l):
+        calls.append("rhs")
+        return 2.0 / (y - l)
+
+    def lam(t):
+        calls.append(t)
+        return term.value(t)
+
+    def gap(y, l):
+        calls.append("gap")
+        return _hp_gap(y, l)
+
+    res = solve_scalar(rhs, lam, t0, y0, t_end, tol=tol, gap=gap, capture=capture)
+    kinds = []
+    i = calls.index("rhs") + 1  # past k1
+    while calls[i:].count("rhs") >= 6:
+        start = 3.0 * calls[i] - 2.0 * calls[i + 1]
+        n_rhs = 0
+        while n_rhs < 6:
+            n_rhs += calls[i] == "rhs"
+            i += 1
+        accepted = i < len(calls) and calls[i] == "gap"
+        kinds.append((start, accepted))
+        i += accepted
+    return res, kinds
+
+
+def test_rejected_run_step_hands_over_and_a_later_run_starts():
+    # steps fail the error test inside the capture cluster: a rejected step
+    # fills no capture, the accepted step that retries its span fills them,
+    # and the steps after it fill the rest, each capture once and accurate
+    term, t0, y0, t_end, capture, tol = CAPTURE_CASES["rejected-in-run"]
+    res, kinds = _step_kinds(term, t0, y0, t_end, capture, tol)
+    assert res.swallowed_at is None and len(kinds) == res.n_steps
+    rejected = [t for t, accepted in kinds if not accepted]
+    assert any(0.99 < t < 0.998 for t in rejected)
+    i = np.searchsorted(res.times, capture)
+    assert np.array_equal(res.times[i], capture) and np.all(np.diff(res.times) > 0)
+    tight = solve_scalar(lambda y, l: 2.0 / (y - l), term.value, t0, y0, t_end, tol=1e-13,
+                         capture=capture)
+    assert np.max(np.abs(res.values[i] - tight.values[np.searchsorted(tight.times, capture)])) \
+        <= 100 * tol
+
+
+def test_run_ends_on_a_final_capture_at_t_end():
+    term, t0, y0, t_end, capture, tol = CAPTURE_CASES["ends-on-capture"]
+    assert capture[-1] == t_end
+    res, kinds = _step_kinds(term, t0, y0, t_end, capture, tol)
+    ref = solve_scalar(lambda y, l: 2.0 / (y - l), term.value, t0, y0, t_end, tol=tol,
+                       gap=_hp_gap)
+    # the last step lands on t_end and takes the capture there as its own
+    # value: no step after it, no zero-length one and no second sample
+    assert res.times[-1] == t_end and np.all(np.diff(res.times) > 0)
+    assert res.values[-1].hex() == ref.values[-1].hex()
+    assert len(kinds) == res.n_steps == ref.n_steps and kinds[-1][1]
+    assert set(capture.tolist()) <= set(res.times.tolist())
+
+
+@pytest.mark.parametrize("stride", [1, 3, 256])
+def test_step_budget_running_out_in_a_run_matches_the_scalar_path(stride, monkeypatch):
+    # the budget runs out inside the capture cluster, after steps have failed
+    # the error test; with every capture or every stride-th one the solve
+    # fails where the solve without captures does, with the same state
+    term, t0, y0, t_end, capture, tol = CAPTURE_CASES["rejected-in-run"]
+    _, kinds = _step_kinds(term, t0, y0, t_end, capture, tol)
+    budget = 95
+    assert 0.99 < kinds[budget - 1][0] and len(kinds) > budget
+    assert not all(accepted for _, accepted in kinds[:budget])
+    monkeypatch.setattr(integrate, "MAX_STEPS", budget)
+    errors = []
+    for cap in (None, capture, capture[::stride]):
+        with pytest.raises(IntegrationError, match="step budget exhausted") as err:
+            solve_scalar(lambda y, l: 2.0 / (y - l), term.value, t0, y0, t_end, tol=tol,
+                         gap=_hp_gap, capture=cap)
+        errors.append((str(err.value), err.value.t.hex(), err.value.y.hex()))
+    assert errors[0] == errors[1] == errors[2]
 
 
 def test_only_captures_before_the_contact_become_samples(monkeypatch):
