@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -139,8 +140,11 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    times, values = np.loadtxt(args.input, delimiter=",", skiprows=1, usecols=(0, 1),
-                               comments="#", unpack=True)
+    with warnings.catch_warnings():
+        # a file without data rows is a usage error, raised by holder_sup_norm below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        times, values = np.loadtxt(args.input, delimiter=",", skiprows=1, usecols=(0, 1),
+                                   comments="#", unpack=True)
     sup = holder_sup_norm(times, values, exponent=args.exponent)
     out = {"sup_norm": sup, "exponent_requested": args.exponent}
     try:
@@ -185,11 +189,10 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_paper_repro(args) -> int:
-    results = repro.run_section(args.section)
     failed = 0
-    for r in results:
+    for r, seconds in repro.run_section(args.section):
         status = "PASS" if r.passed else "FAIL"
-        print(f"{status}  {r.criterion}: {r.detail}")
+        print(f"{status}  {r.criterion}: {r.detail}  ({seconds:.3f} s)")
         failed += 0 if r.passed else 1
     return 1 if failed else 0
 

@@ -1,14 +1,15 @@
 """Preset reproduction experiments with pinned tolerances.
 
 Each check function returns a CheckResult; the CLI ``paper-repro`` subcommand
-prints one PASS/FAIL line per check and the acceptance test suite asserts
-them. Tolerances here are the suite's contract, not tunables.
+prints one PASS/FAIL line per check, with its wall time, and the acceptance
+test suite asserts them. Tolerances here are the suite's contract, not tunables.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,7 +193,13 @@ SECTION_CHECKS = {
 }
 
 
-def run_section(section: int) -> list[CheckResult]:
+def run_section(section: int) -> list[tuple[CheckResult, float]]:
+    """Run one section's checks in order: each result with its wall time in seconds."""
     if section not in SECTION_CHECKS:
         raise ValueError(f"unknown section {section!r} (choose from 2, 3, 4)")
-    return [check() for check in SECTION_CHECKS[section]]
+    timed = []
+    for check in SECTION_CHECKS[section]:
+        start = time.perf_counter()
+        result = check()
+        timed.append((result, time.perf_counter() - start))
+    return timed

@@ -159,6 +159,18 @@ def test_paper_repro_section_two(capsys):
     assert main(["paper-repro", "--section", "2"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 2 and "FAIL" not in out
+    # each check's line ends in its wall time
+    assert all(line.endswith(" s)") for line in out.splitlines())
+
+
+def test_norm_of_a_file_without_data_rows_is_a_usage_error(tmp_path, capsys):
+    # numpy's "input contained no data" warning stays out of the report
+    empty = tmp_path / "empty.csv"
+    empty.write_text("t,u\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["norm", "--input", str(empty)]) == 2
+    assert capsys.readouterr().err == "usage error: need >= 2 samples with matching times/values\n"
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -2,10 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from loewner import FitError, holder_exponent_fit, holder_sup_norm
+from loewner import FitError, holder, holder_exponent_fit, holder_sup_norm
+from loewner.bridge import halfplane_to_disk
+from loewner.driving import Lind, Scaled
 from loewner.holder import DENSE_PAIR_LIMIT
+
+B, R = holder._TILE_GAPS, holder._TILE_ROWS
 
 
 def brute_force_norm(times, values, exponent):
@@ -70,8 +74,71 @@ def test_gap_scan_equals_reference_scan_at_the_dense_limit(n):
         assert holder_sup_norm(t, v, exponent) == reference_sup_norm(t, v, exponent)
 
 
+@pytest.mark.parametrize("n", sorted({2, B, B + 1, R, R + 1, R + B + 1, 2 * R + 1}))
+def test_tiled_scan_equals_reference_scan_at_tile_edges(n):
+    # sizes that end a tile's rows or gaps on the last sample, or one past it;
+    # DENSE_PAIR_LIMIT itself is the test above
+    rng = np.random.default_rng(n)
+    t = np.cumsum(rng.uniform(1e-4, 1e-3, n))
+    v = np.cumsum(rng.normal(size=n))
+    for exponent in (1.0 / 3.0, 0.5, 1.0):
+        assert holder_sup_norm(t, v, exponent) == reference_sup_norm(t, v, exponent)
+
+
+@pytest.mark.filterwarnings("error")
+def test_screen_pads_within_the_value_span():
+    # values near 2**512, whose squares overflow while their differences' do
+    # not: the screen runs, and no padded pair may difference against 0. The
+    # last step is the winning pair, in a tile whose gaps run past the end.
+    rng = np.random.default_rng(5)
+    t = np.cumsum(rng.uniform(1e-4, 1e-3, 2 * R + 1))
+    v = 2.0**512 * (1.0 + np.cumsum(rng.normal(size=t.size)) * 2.0**-40)
+    v[-1] = v[-2] + 2.0**482
+    assert holder._screen_is_exact(t, v)
+    assert holder_sup_norm(t, v, 0.5) == reference_sup_norm(t, v, 0.5)
+
+
+@given(st.integers(2, 1200), st.integers(0, 2**32 - 1),
+       st.integers(-600, 600), st.integers(-240, 240))
+@example(1200, 1, 600, -240)
+@example(1200, 2, -600, 240)
+@example(1200, 3, 600, 240)
+@example(1200, 4, -600, -240)
+def test_norm_scales_exactly_on_both_sides_of_the_screen_guard(n, seed, kv, kt):
+    # dyadic samples, so every scaled difference is exact: v * 2**kv scales the
+    # Lip(1/2) norm by 2**kv and t * 4**kt by 2**-kt, bit for bit, whether the
+    # squared-quotient screen runs (moderate scales) or its guard sends every
+    # tile to the exact scan (squares that overflow or underflow)
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(rng.integers(1, 1025, n)) / 1024.0
+    v = np.cumsum(rng.integers(-1024, 1025, n)) / 1024.0
+    base = holder_sup_norm(t, v, 0.5)
+    assert holder_sup_norm(t * 4.0**kt, v * 2.0**kv, 0.5) == base * 2.0**(kv - kt)
+
+
+def test_screen_rescans_at_most_two_tiles_of_a_bridge_term(monkeypatch):
+    # the converted Lind(4) term on 5000 samples: its pairs anchored at the
+    # swallowing end all sit within 1e-4 of the sup, but only the winner's tile
+    # (and at most one tie) is within the screen's margin
+    r = 1.3
+    grid = r * r * np.concatenate(([0.0], 1.0 - np.geomspace(1.0, 1e-8, DENSE_PAIR_LIMIT - 1)[1:],
+                                   [1.0]))
+    u = halfplane_to_disk(Scaled(Lind(4.0), r), 2.0 * r, grid).term
+    assert u.times.size == DENSE_PAIR_LIMIT
+    exact, calls = holder._exact_quotient_max, []
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(holder, "_exact_quotient_max", counted)
+    assert holder_sup_norm(u.times, u.table_values, 0.5) == pytest.approx(4.0, abs=0.01)
+    assert 1 <= len(calls) <= 2
+
+
 def test_scan_memory_is_linear_in_the_sample_count():
-    # one gap at a time: a few arrays of n floats, not blocks of 512 x n pairs
+    # one pair tile at a time: a few arrays of n floats and two tile buffers,
+    # not blocks of 512 x n pairs
     n = DENSE_PAIR_LIMIT
     t = np.linspace(0.0, 1.0, n)
     v = np.sqrt(t)
