@@ -37,18 +37,17 @@ _PI_MARGIN = 1e-9
 class ConversionResult:
     """A converted driving term together with the companion trajectory.
 
-    When the companion trajectory is swallowed strictly inside the requested
-    grid the term is partial: its samples stop at the swallowing time, which
-    is recorded in ``swallowed_at``.
+    When the companion trajectory is swallowed inside the requested grid the
+    term is partial: its samples stop at the swallowing time,
+    ``trajectory.swallowed_at``.
     """
 
     term: Sampled
     trajectory: Trajectory
-    swallowed_at: float | None
 
     @property
     def is_partial(self) -> bool:
-        return self.swallowed_at is not None
+        return self.trajectory.is_swallowed
 
 
 def _validated_grid(t_grid) -> np.ndarray:
@@ -81,8 +80,7 @@ def halfplane_to_disk(term: DrivingTerm, x0: float, t_grid,
     grid = _validated_grid(t_grid)
     traj, times, x, lam = _companion_samples(evolve_boundary, term, x0, grid, tol)
     u = x - 2.0 * np.arctan(0.5 * (x - lam))
-    return ConversionResult(term=Sampled(times, u), trajectory=traj,
-                            swallowed_at=traj.swallowed_at)
+    return ConversionResult(term=Sampled(times, u), trajectory=traj)
 
 
 def disk_to_halfplane(term: DrivingTerm, alpha0: float, t_grid,
@@ -103,8 +101,7 @@ def disk_to_halfplane(term: DrivingTerm, alpha0: float, t_grid,
         raise ConversionDomainError(
             "|alpha - u| reached pi along the trajectory (tan blowup)")
     lam = alpha - 2.0 * np.tan(half)
-    return ConversionResult(term=Sampled(times, lam), trajectory=traj,
-                            swallowed_at=traj.swallowed_at)
+    return ConversionResult(term=Sampled(times, lam), trajectory=traj)
 
 
 def correspondence_residual(term_lambda: DrivingTerm, term_u: DrivingTerm,

@@ -135,7 +135,7 @@ def _cmd_convert(args) -> int:
     write_sampled_csv(args.out, res.term.times, res.term.table_values)
     if res.is_partial:
         print(f"partial conversion: companion trajectory swallowed at "
-              f"t={_F(res.swallowed_at)}", file=sys.stderr)
+              f"t={_F(res.trajectory.swallowed_at)}", file=sys.stderr)
     return 0
 
 

@@ -42,17 +42,6 @@ def _boundary_rhs(a, u):
     return 1.0 / math.tan(0.5 * (a - u))
 
 
-def _evolve(rhs, gap, term: DrivingTerm, y0, t_end: float, tol: float,
-            capture=None) -> Trajectory:
-    """Solve dy/dt = rhs(y, u(t)) from (0, y0) with swallowing detection by
-    ``gap``; the samples keep y0's type."""
-    if not cmath.isfinite(y0):
-        raise ValueError(f"start point {y0!r} is not finite")
-    term.check_covers(t_end)
-    res = solve_scalar(rhs, term.value, 0.0, y0, t_end, tol=tol, gap=gap, capture=capture)
-    return Trajectory(res.times, res.values.astype(type(y0)), res.swallowed_at)
-
-
 def evolve_disk_interior(term: DrivingTerm, z0: complex, t_end: float,
                          tol: float = 1e-10) -> Trajectory:
     """Evolve an interior point z0 (|z0| < 1) of the disk.
@@ -63,7 +52,8 @@ def evolve_disk_interior(term: DrivingTerm, z0: complex, t_end: float,
     z0 = complex(z0)
     if abs(z0) >= 1.0:
         raise ValueError("disk interior evolution needs |z0| < 1")
-    return _evolve(_interior_rhs, _interior_gap, term, z0, t_end, tol)
+    term.check_covers(t_end)
+    return solve_scalar(_interior_rhs, term.value, 0.0, z0, t_end, tol=tol, gap=_interior_gap)
 
 
 def evolve_disk_boundary(term: DrivingTerm, alpha0: float, t_end: float,
@@ -78,4 +68,6 @@ def evolve_disk_boundary(term: DrivingTerm, alpha0: float, t_end: float,
     if angle_gap(alpha0, term.value(0.0)) <= integrate.COLLISION_DELTA:
         raise ValueError("alpha0 coincides with u(0) modulo 2*pi within the "
                          "collision threshold")
-    return _evolve(_boundary_rhs, angle_gap, term, alpha0, t_end, tol, capture)
+    term.check_covers(t_end)
+    return solve_scalar(_boundary_rhs, term.value, 0.0, alpha0, t_end, tol=tol, gap=angle_gap,
+                        capture=capture)

@@ -25,7 +25,6 @@ limit.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -81,15 +80,6 @@ def _gap(y, l):
     return abs(y - l)
 
 
-def _evolve(term: DrivingTerm, y0, t_end: float, tol: float, capture=None) -> Trajectory:
-    """Solve from (0, y0) with swallowing detection; the samples keep y0's type."""
-    if not cmath.isfinite(y0):
-        raise ValueError(f"start point {y0!r} is not finite")
-    term.check_covers(t_end)
-    res = solve_scalar(_rhs, term.value, 0.0, y0, t_end, tol=tol, gap=_gap, capture=capture)
-    return Trajectory(res.times, res.values.astype(type(y0)), res.swallowed_at)
-
-
 def evolve_interior(term: DrivingTerm, z0: complex, t_end: float,
                     tol: float = 1e-10) -> Trajectory:
     """Evolve an interior point z0 (Im z0 > 0) under the half-plane equation.
@@ -101,7 +91,8 @@ def evolve_interior(term: DrivingTerm, z0: complex, t_end: float,
     z0 = complex(z0)
     if z0.imag <= 0:
         raise ValueError("interior evolution needs Im z0 > 0")
-    return _evolve(term, z0, t_end, tol)
+    term.check_covers(t_end)
+    return solve_scalar(_rhs, term.value, 0.0, z0, t_end, tol=tol, gap=_gap)
 
 
 def evolve_boundary(term: DrivingTerm, x0: float, t_end: float, tol: float = 1e-10,
@@ -113,7 +104,8 @@ def evolve_boundary(term: DrivingTerm, x0: float, t_end: float, tol: float = 1e-
         raise ValueError(
             "x0 coincides with lambda(0) within the collision threshold; "
             "use singular_plus/singular_minus for the singular solutions")
-    return _evolve(term, x0, t_end, tol, capture)
+    term.check_covers(t_end)
+    return solve_scalar(_rhs, term.value, 0.0, x0, t_end, tol=tol, gap=_gap, capture=capture)
 
 
 def _singular(term: DrivingTerm, sign: int, t_end: float, tol: float,
@@ -125,15 +117,11 @@ def _singular(term: DrivingTerm, sign: int, t_end: float, tol: float,
     follows it.
     """
     term.check_covers(t_end)
-    lam0 = term.value(0.0)
     if t_end == 0.0:
-        return Trajectory(np.array([0.0]), np.array([lam0]))
-
+        return Trajectory(np.array([0.0]), np.array([term.value(0.0)]))
     p = term.onset_exponent
-    res = integrate.solve_singular_branch(term.value, p if sign > 0 else 1.0 - p, t_end,
-                                          sign=sign, tol=tol, capture=capture)
-    return Trajectory(np.concatenate(([0.0], res.times)),
-                      np.concatenate(([lam0], res.values)))
+    return integrate.solve_singular_branch(term.value, p if sign > 0 else 1.0 - p, t_end,
+                                           sign=sign, tol=tol, capture=capture)
 
 
 def singular_plus(term: DrivingTerm, t_end: float, tol: float = 1e-10,
@@ -179,8 +167,8 @@ def ratio_limsup_check(term: DrivingTerm, t_grid, *, tol: float = 1e-10) -> Rati
     ``term.exact_half_norm``; a term without one raises ValueError.
     """
     grid = np.sort(np.asarray(t_grid, dtype=float))
-    if grid.size == 0 or np.any(grid <= 0):
-        raise ValueError("t_grid must contain positive times")
+    if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0):
+        raise ValueError("t_grid must be a nonempty 1-d array of positive times")
     c = term.exact_half_norm
     if c is None:
         raise ValueError(f"{term!r} has no closed-form Lip(1/2) norm")

@@ -55,18 +55,21 @@ at t = 0, where the flow is singular. It runs in variables blown up at that
 point and is stiff there for the upper solution under a driving term whose
 onset exponent is below 1/2 (see its docstring).
 Both steppers reject a tolerance that is not finite and positive before the
-first step.
+first step. Each returns its solution as a ``Trajectory`` with the number of
+steps it took (accepted and rejected) in ``n_steps``; a singular branch
+starts with the sample (0, lam(0)).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IntegrationError
+from .trajectory import Trajectory
 
 #: step budget of one solve
 MAX_STEPS = 500_000
@@ -114,17 +117,12 @@ _SD_E = (-3.0 / 16.0, -27.0 / 32.0, 25.0 / 32.0, 0.0, 0.25)
 SEED_FRACTION = 1e-12
 
 
-@dataclass
-class OdeResult:
-    times: np.ndarray
-    values: np.ndarray
-    swallowed_at: float | None
-    n_steps: int
-
-
 def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
-                 gap=None, capture=None) -> OdeResult:
+                 gap=None, capture=None) -> Trajectory:
     """Integrate dy/dt = rhs(y, lam(t)) from (t0, y0) to t_end.
+
+    Returns the trajectory, float64 for a real start and complex128 for a
+    complex one.
 
     Parameters
     ----------
@@ -155,6 +153,8 @@ def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
     t = float(t0)
     t_end = float(t_end)
     y = complex(y0) if np.iscomplexobj(y0) else float(y0)
+    if not cmath.isfinite(y):
+        raise ValueError(f"start point {y!r} is not finite")
     if not t_end >= t:  # NaN fails too
         raise ValueError("t_end must be >= t0")
 
@@ -247,10 +247,11 @@ def solve_scalar(rhs, lam, t0: float, y0, t_end: float, *, tol: float = 1e-10,
 
 
 def solve_singular_branch(lam, q: float, t_end: float, *, sign: int, tol: float,
-                          capture) -> OdeResult:
+                          capture) -> Trajectory:
     """Singular solution of dh/dt = 2 / (h - lam(t)) with h(0) = lam(0), on
     the side ``sign`` of the driving term (+1 above, -1 below), for a branch
-    that leaves lam(0) like t**q, 0 < q < 1.
+    that leaves lam(0) like t**q, 0 < q < 1. The trajectory starts with the
+    sample (0, lam(0)), followed by the seed below.
 
     It is integrated in the self-similar variables tau = log t and
     Y = (h - lam(0)) / t**q, where
@@ -327,8 +328,8 @@ def solve_singular_branch(lam, q: float, t_end: float, *, sign: int, tol: float,
     k = 2.0 * (t / (tp * tp)) / g - q * y  # dY/dtau at the seed
     h = lam0 + d + gap
     ah = abs(h)
-    times = [t]
-    values = [h]
+    times = [0.0, t]
+    values = [lam0, h]
 
     dtau_prop = 0.1
     n_steps = 0
@@ -406,11 +407,11 @@ def _check_tol(tol) -> None:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
 
 
-def _result(times, values, swallowed_at, n_steps) -> OdeResult:
+def _result(times, values, swallowed_at, n_steps) -> Trajectory:
     ts = np.asarray(times, dtype=float)
     keep = np.concatenate(([True], np.diff(ts) > 0))
-    return OdeResult(times=ts[keep], values=np.asarray(values)[keep],
-                     swallowed_at=swallowed_at, n_steps=n_steps)
+    return Trajectory(ts[keep], np.asarray(values)[keep], swallowed_at=swallowed_at,
+                      n_steps=n_steps)
 
 
 def _hermite(theta, y0, hf0, y1, hf1):

@@ -142,7 +142,7 @@ class TangentTerm(DrivingTerm):
 
     onset_exponent = 1.0 / 3.0
 
-    def __init__(self, radius: float = 1.0):
+    def __init__(self, radius: float):
         self.radius = float(radius)
         # r * r is inf or 0 where it overflows or underflows; NaN fails too
         self._r2 = self.radius * self.radius

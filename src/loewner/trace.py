@@ -71,4 +71,4 @@ def _tip(term: DrivingTerm, t: float, tol: float) -> complex:
         res = solve_scalar(_blown_up_rhs, drive, tau0, y0, math.log(t), tol=tol)
     except IntegrationError as exc:
         raise TraceError(f"backward integration blew up at t={t!r}") from exc
-    return lam_t + math.sqrt(t) * complex(res.values[-1])
+    return lam_t + math.sqrt(t) * complex(res.final_value)

@@ -4,7 +4,8 @@ A trajectory is an ordered set of (time, value) samples of one Loewner ODE
 solution; values are complex for interior points and real for boundary
 points/angles. A trajectory either completes or is swallowed at some time tau
 (the value collides with the driving term), in which case the last sample sits
-at tau.
+at tau. A trajectory from a solver also records the number of steps the solve
+took, accepted and rejected, in ``n_steps``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ class Trajectory:
     times: np.ndarray
     values: np.ndarray
     swallowed_at: float | None = None
+    n_steps: int = 0
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)

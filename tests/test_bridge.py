@@ -88,8 +88,8 @@ def test_partial_conversion_marks_swallowing(monkeypatch):
     grid = np.concatenate(([0.0], 1.0 - np.geomspace(1.0, 1e-8, 200)[1:], [1.0]))
     res = halfplane_to_disk(Lind(4.0), 2.0, grid, tol=1e-10)
     assert res.is_partial
-    assert res.swallowed_at == pytest.approx(1.0, abs=1e-3)
-    assert res.term.domain_end == pytest.approx(res.swallowed_at)
+    assert res.trajectory.swallowed_at == pytest.approx(1.0, abs=1e-3)
+    assert res.term.domain_end == pytest.approx(res.trajectory.swallowed_at)
     # swallowing times correspond: the disk flow under the converted term
     # collides at the same time
     from loewner.disk import evolve_disk_boundary

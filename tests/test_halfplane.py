@@ -206,6 +206,13 @@ def test_ratio_check_needs_a_closed_form_norm():
         ratio_limsup_check(FromCallable(Sqrt(1.0).value), np.geomspace(1e-6, 1.0, 5))
 
 
+def test_grid_checks_reject_a_two_dimensional_grid():
+    grid = np.geomspace(1e-6, 1.0, 6).reshape(2, 3)
+    for check in (swallowed_interval, ratio_limsup_check):
+        with pytest.raises(ValueError, match="1-d"):
+            check(Sqrt(1.0), grid)
+
+
 @settings(max_examples=40)
 @given(r=st.floats(0.3, 3.0), e=st.floats(-12.0, 0.0))
 @example(r=1.0, e=-12.0)

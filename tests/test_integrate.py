@@ -214,7 +214,7 @@ def _capture_layouts(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(layout=_capture_layouts(), stride=st.sampled_from([1, 3, 256]))
-def test_block_table_changes_no_bit_for_random_layouts(layout, stride):
+def test_captures_change_no_bit_for_random_layouts(layout, stride):
     t0, capture = layout
     _assert_captures_change_no_bit(Lind(4.0), t0, 2.0, 1.0, capture, 1e-10, stride)
 
@@ -253,7 +253,7 @@ def _step_kinds(term, t0, y0, t_end, capture, tol):
     return res, kinds
 
 
-def test_rejected_run_step_hands_over_and_a_later_run_starts():
+def test_rejected_step_fills_no_capture_and_its_retry_does():
     # steps fail the error test inside the capture cluster: a rejected step
     # fills no capture, the accepted step that retries its span fills them,
     # and the steps after it fill the rest, each capture once and accurate
@@ -270,7 +270,7 @@ def test_rejected_run_step_hands_over_and_a_later_run_starts():
         <= 100 * tol
 
 
-def test_run_ends_on_a_final_capture_at_t_end():
+def test_last_step_takes_the_capture_at_t_end_as_its_value():
     term, t0, y0, t_end, capture, tol = CAPTURE_CASES["ends-on-capture"]
     assert capture[-1] == t_end
     res, kinds = _step_kinds(term, t0, y0, t_end, capture, tol)
@@ -345,9 +345,9 @@ def test_capture_bound_solve_takes_the_steps_of_a_free_solve(monkeypatch):
     assert captured <= 2 * free
 
 
-def test_capture_bound_solve_reads_its_driving_values_from_blocks(monkeypatch):
+def test_singular_branch_fills_captures_without_evaluating_the_term(monkeypatch):
     # the branch fills its 3000 captures from its own steps instead of
-    # landing on each: lam(0), the seed time and five stages per step, 33
+    # landing on each: lam(0), the seed time and five stages per step, 32
     # scalar calls in all
     calls = []
     value = DrivingTerm.value
@@ -446,7 +446,8 @@ def test_singular_branch_matches_the_tangent_prevertex():
     cap = [1e-9, 1e-6, 1e-3, 0.01, 0.05]
     res = solve_singular_branch(term.value, term.onset_exponent, 0.05, sign=1, tol=1e-10,
                                 capture=np.array(cap))
-    assert res.times[0] == integrate.SEED_FRACTION * cap[0]
+    assert res.times[0] == 0.0 and res.values[0] == term.value(0.0)
+    assert res.times[1] == integrate.SEED_FRACTION * cap[0]
     for t in cap:
         i = np.searchsorted(res.times, t)
         assert res.times[i] == t

@@ -6,7 +6,10 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
-from loewner import Constant, Lind
+import numpy as np
+import pytest
+
+from loewner import Constant, Lind, Sqrt, disk, halfplane, integrate
 from loewner.critical import collision_threshold_experiment
 from loewner.disk import evolve_disk_boundary
 from loewner.halfplane import evolve_boundary
@@ -275,6 +278,76 @@ def test_benchmark_patch_points_resolve_and_restore():
         tracer.uninstall()
     for owner, attr, original in patches:
         assert getattr(owner, attr) is original
+
+
+def _trajectory_constructions() -> list[tuple[str, tuple[str, ...]]]:
+    """(module.function, conditions of the enclosing ``if`` statements) of
+    each ``Trajectory(...)`` call in src/."""
+    found = []
+
+    def visit(node, where, conditions):
+        if isinstance(node, ast.Call) and _referenced_name(node.func) == "Trajectory":
+            found.append((where, conditions))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.If):
+            test = ast.unparse(node.test)
+            visit(node.test, where, conditions)
+            for child in node.body:
+                visit(child, where, conditions + (test,))
+            for child in node.orelse:
+                visit(child, where, conditions + (f"not {test}",))
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, conditions)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, ())
+    return found
+
+
+def test_only_the_steppers_build_trajectories():
+    # every solve returns the Trajectory its stepper built; the one other is
+    # the singular solution at t_end == 0, where nothing is solved
+    assert sorted(_trajectory_constructions()) == [
+        ("halfplane._singular", ("t_end == 0.0",)),
+        ("integrate._result", ()),
+    ]
+
+
+def _returns_of(monkeypatch, owner, name) -> list:
+    """Patch ``owner.name`` to keep what each call returns, in the list returned."""
+    solve, returned = getattr(owner, name), []
+
+    def spy(*args, **kwargs):
+        returned.append(solve(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(owner, name, spy)
+    return returned
+
+
+@pytest.mark.parametrize("module, evolve, start, dtype", [
+    (halfplane, halfplane.evolve_boundary, 2.0, np.float64),
+    (halfplane, halfplane.evolve_interior, 0.5 + 1.0j, np.complex128),
+    (disk, disk.evolve_disk_boundary, 2.0, np.float64),
+    (disk, disk.evolve_disk_interior, 0.5j, np.complex128),
+], ids=["evolve_boundary", "evolve_interior", "evolve_disk_boundary", "evolve_disk_interior"])
+def test_each_evolve_returns_its_steppers_trajectory(monkeypatch, module, evolve, start, dtype):
+    returned = _returns_of(monkeypatch, module, "solve_scalar")
+    traj = evolve(Lind(3.0), start, 0.5)
+    assert len(returned) == 1 and traj is returned[0]
+    assert traj.values.dtype == dtype
+
+
+@pytest.mark.parametrize("singular", [halfplane.singular_plus, halfplane.singular_minus],
+                         ids=["singular_plus", "singular_minus"])
+def test_singular_solutions_return_the_branch_trajectory(monkeypatch, singular):
+    returned = _returns_of(monkeypatch, integrate, "solve_singular_branch")
+    traj = singular(Sqrt(1.0), 0.5)
+    assert len(returned) == 1 and traj is returned[0]
+    assert (traj.times[0], traj.values[0]) == (0.0, 0.0)
+    assert traj.values.dtype == np.float64
 
 
 def test_solve_scalar_holds_one_step_body():

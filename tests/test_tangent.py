@@ -124,6 +124,25 @@ def test_driving_term_exponent_and_coefficient():
     assert math.exp(intercept) == pytest.approx(BETA_LEADING, rel=0.01)
 
 
+def test_driving_term_is_holder_one_third_as_a_norm():
+    # on grids from t_min to 0.05, with t = 0, the Lip(1/3) norm of lambda
+    # rises to its onset coefficient (12 pi)**(1/3) as t_min -> 0, while the
+    # Lip(1/2) norm grows like t_min**(-1/6): the pair (0, t_min) sets both
+    from loewner.holder import holder_sup_norm
+
+    term = TangentTerm(1.0)
+    third, half = [], []
+    for t_min in (1e-6, 1e-12, 1e-18):
+        ts = np.concatenate(([0.0], np.geomspace(t_min, 0.05, 100)))
+        lams = term.values(ts)
+        third.append(holder_sup_norm(ts, lams, exponent=1.0 / 3.0))
+        half.append(holder_sup_norm(ts, lams, exponent=0.5))
+        assert half[-1] / third[-1] == pytest.approx(t_min ** (-1.0 / 6.0), rel=1e-9)
+    gaps = BETA_LEADING - np.array(third)
+    assert np.all(gaps > 0) and np.all(gaps[1:] < 0.02 * gaps[:-1]) and gaps[-1] < 1e-5
+    assert np.diff(np.log10(half)) == pytest.approx([1.0, 1.0], abs=0.01)
+
+
 def test_map_hydrodynamic_normalization():
     p = solve_params(0.01)
     for w in (1e4 + 0j, 1e4j, 7e3 + 7e3j):
