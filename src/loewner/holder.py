@@ -4,20 +4,31 @@ The Lip(a) sup-norm of a sampled function is max over sample pairs s < t of
 |f(t)-f(s)| / (t-s)**a. The exponent of a power-law-like f near 0 is estimated
 by least squares on log|f(t)-f(0)| against log t over a window.
 
-Up to ``DENSE_PAIR_LIMIT`` samples the norm is an exact max over all pairs,
-scanned in tiles of ``_TILE_ROWS`` first indices by ``_TILE_GAPS`` index
-gaps (two 128 KB buffers, so memory stays O(n)). For a = 1/2 a screen runs
-first: each tile is reduced to its largest squared quotient fl(d*d)/dt, with
-no abs and no sqrt, and only the tiles within ``_SCREEN_MARGIN`` of the
-largest screen value are rescanned with the exact expression. Each pair's
-screen value is within about 6 units in the last place of the square of its
-exact quotient (two roundings on each side), so the pair of the largest
-exact quotient has a screen value within about 12 ulps of the largest one,
-far inside the margin: its tile is always rescanned and the result is the
-same float as an exact scan of every pair. That bound needs no overflow
-and no subnormal in the screen, which ``_screen_is_exact`` checks from the
-value span, the smallest time step and the time span; when it fails, and
-for any other exponent, every tile takes the exact scan.
+Up to ``DENSE_PAIR_LIMIT`` samples the norm is the exact max over all pairs,
+found by a certified scan in two phases:
+
+- a lower bound: every index gap below ``_BLOCK`` and every power-of-two
+  gap, plus the pairs anchored at the first and at the last sample, each
+  gap one vector of exact quotients;
+- certification: the samples are cut into blocks J of ``_BLOCK`` consecutive
+  samples, J0 the first. Each earlier sample i bounds its pairs into J by
+  max(max v_J - v_i, v_i - min v_J) / (t_J0 - t_i)**a, and only the rows i
+  whose bound exceeds the running best are evaluated exactly. Pairs inside
+  a block have a gap below ``_BLOCK``, so the first phase took them.
+
+Subtraction, sqrt and division are correctly rounded, hence monotone, so a
+row's bound is at least each quotient it covers as computed: the row of a
+larger quotient is always evaluated, and the result is the same float as an
+exact scan of every pair, at any scale. np.power (a != 1/2) is not promised
+to be monotone, so rows are pruned against the best less a relative
+``_BOUND_MARGIN``, far above the few ulps by which its rounding can invert
+an order of quotients above the subnormal range. Pruning is strict, so a constant function (bound = best = 0)
+evaluates no row. Memory stays O(n): bounds of up to n floats, and rows
+evaluated n - 1 pairs at a time.
+
+Above ``DENSE_PAIR_LIMIT`` the norm is the max over the power-of-two gaps and
+the anchored pairs alone: a lower bound on the exact sup, equal to it for power-law sups
+such as the bridge output's, which sit at an end sample.
 """
 
 from __future__ import annotations
@@ -25,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FitError
 
@@ -38,15 +48,13 @@ DEFAULT_FIT_WINDOW = (1e-6, 1e-3)
 #: fewest samples a fit window must hold
 MIN_FIT_POINTS = 10
 
-#: the dense scan's pair tile: pairs (i, i + g) for _TILE_ROWS consecutive i
-#: and _TILE_GAPS consecutive g, 16K pairs in 128 KB per float buffer (few
-#: enough numpy calls per pair, small enough to stay in cache)
-_TILE_ROWS = 128
-_TILE_GAPS = 128
+#: samples per block of the certified scan: its bounds cost about n**2 / (2 * _BLOCK)
+#: quotients and its gaps below _BLOCK about n * _BLOCK (64 timed fastest of
+#: 32-128 on the dense_paths inputs)
+_BLOCK = 64
 
-#: tiles whose screen value is below (1 - margin) * the largest are skipped;
-#: the margin must exceed the screen's rounding gap, about 12 ulps
-_SCREEN_MARGIN = 1e-12
+#: a row is evaluated when its bound exceeds (1 - margin) * the running best
+_BOUND_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,10 +75,10 @@ class HolderFit:
 def holder_sup_norm(times, values, exponent: float = 0.5) -> float:
     """Sup of |f(t)-f(s)| / (t-s)**exponent over sample pairs.
 
-    Up to ``DENSE_PAIR_LIMIT`` samples every pair is taken, in pair tiles
-    (see the module docstring); beyond that, one index gap g at a time, only
-    the power-of-two gaps, plus all pairs anchored at the first and last
-    samples (which capture power-law sups). Memory stays O(n) either way.
+    Up to ``DENSE_PAIR_LIMIT`` samples every pair is taken, by the certified
+    scan of the module docstring; beyond that only the power-of-two index
+    gaps, plus all pairs anchored at the first and last samples (which
+    capture power-law sups). Memory stays O(n) either way.
 
     Parameters
     ----------
@@ -91,9 +99,27 @@ def holder_sup_norm(times, values, exponent: float = 0.5) -> float:
         raise ValueError("exponent must lie in (0, 1]")
 
     n = t.size
-    if n <= DENSE_PAIR_LIMIT:
-        return _tiled_sup(t, v, exponent)
+    gaps = {1 << k for k in range((n - 1).bit_length())}  # powers of two below n
+    if n > DENSE_PAIR_LIMIT:
+        return _gap_sup(t, v, exponent, gaps)
+    b = min(_BLOCK, n)
+    best = _gap_sup(t, v, exponent, gaps.union(range(1, b)))
+    rows_per_pass = (n - 1) // b  # at most n - 1 pairs evaluated at a time
+    for j0 in range(b, n, b):  # block J = samples j0 .. j0 + b - 1, rows i < j0
+        vj, tj = v[j0:j0 + b], t[j0:j0 + b]
+        bound = np.maximum(vj.max() - v[:j0], v[:j0] - vj.min())
+        np.divide(bound, _power(tj[0] - t[:j0], exponent), out=bound)
+        rows = np.flatnonzero(bound > best * (1.0 - _BOUND_MARGIN))
+        for k in range(0, rows.size, rows_per_pass):
+            i = rows[k:k + rows_per_pass, None]
+            best = max(best, _exact_quotient_max(vj - v[i], tj - t[i], exponent))
+    return best
 
+
+def _gap_sup(t, v, exponent: float, gaps) -> float:
+    """max of |v[i+g] - v[i]| / (t[i+g] - t[i])**exponent over the index gaps g
+    and over the pairs anchored at the first and at the last sample."""
+    n = t.size
     num, den = np.empty(n - 1), np.empty(n - 1)
 
     def sup(m, v1, v0, t1, t0):
@@ -102,78 +128,24 @@ def holder_sup_norm(times, values, exponent: float = 0.5) -> float:
         np.subtract(t1, t0, out=den[:m])
         return _exact_quotient_max(num[:m], den[:m], exponent)
 
-    gaps = [1 << k for k in range((n - 1).bit_length())]  # powers of two below n
     best = max(sup(n - g, v[g:], v[:-g], t[g:], t[:-g]) for g in gaps)
-    # pairs anchored at the first and at the last sample
     return max(best, sup(n - 1, v[1:], v[0], t[1:], t[0]),
                sup(n - 1, v[-1], v[:-1], t[-1], t[:-1]))
 
 
-def _exact_quotient_max(num, den, exponent: float) -> float:
-    """max of |num| / den**exponent, overwriting both buffers.
-
-    This is the quotient the norm reports: numpy's dt ** 0.5 is np.sqrt(dt)
-    and any other dt ** exponent is np.power(dt, exponent).
-    """
-    np.abs(num, out=num)
+def _power(dt, exponent: float):
+    """dt**exponent in place, by the operation numpy's ** uses: np.sqrt for 1/2,
+    np.power otherwise."""
     if exponent == 0.5:
-        np.sqrt(den, out=den)
-    else:
-        np.power(den, exponent, out=den)
-    return float(np.divide(num, den, out=num).max())
+        return np.sqrt(dt, out=dt)
+    return np.power(dt, exponent, out=dt)
 
 
-def _screen_is_exact(t, v) -> bool:
-    """Whether the squared-quotient screen keeps the tile of the largest quotient.
-
-    With span = max v - min v, delta the smallest time step and T the time
-    span, every screen value is at most span**2/delta and the largest is at
-    least span**2/T, with a squared difference of at least span**2*delta/T;
-    those bounds inside [2**-1000, 2**1000] leave no overflow and no
-    subnormal where the rounding bound is needed. Python floats, so an
-    overflow reads inf and fails the test without a warning.
-    """
-    span = float(v.max()) - float(v.min())
-    delta = float(np.diff(t).min())
-    sq = span * span
-    return (sq / delta < 2.0 ** 1000
-            and sq * min(delta, 1.0) / (float(t[-1]) - float(t[0])) > 2.0 ** -1000)
-
-
-def _tiled_sup(t, v, exponent: float) -> float:
-    """max of |v[j] - v[i]| / (t[j] - t[i])**exponent over all pairs i < j."""
-    n = t.size
-    rows, gaps = min(_TILE_ROWS, n - 1), min(_TILE_GAPS, n - 1)
-    pad = rows + gaps
-    # a row or gap past the last sample reads padding: t = -inf on the i side
-    # and +inf on the j side, so a padded pair has dt = inf and quotient 0;
-    # padding v with its last value keeps every difference within the span
-    vp = np.concatenate((v, np.full(pad, v[-1])))
-    vj, vi = sliding_window_view(vp, gaps), vp[:, None]
-    tj = sliding_window_view(np.concatenate((t, np.full(pad, np.inf))), gaps)
-    ti = np.concatenate((t, np.full(pad, -np.inf)))[:, None]
-    num, den = np.empty((rows, gaps)), np.empty((rows, gaps))
-
-    def fill(i0, j0):
-        """value and time steps of pair (i0 + r, j0 + r + k) into num[r, k], den[r, k]"""
-        np.subtract(vj[j0:j0 + rows], vi[i0:i0 + rows], out=num)
-        np.subtract(tj[j0:j0 + rows], ti[i0:i0 + rows], out=den)
-
-    # the tile of first row i0 and first gap g0 starts at pair (i0, i0 + g0)
-    tiles = [(i0, i0 + g0) for g0 in range(1, n, gaps) for i0 in range(0, n - g0, rows)]
-    if exponent == 0.5 and _screen_is_exact(t, v):
-        screens = []
-        for i0, j0 in tiles:
-            fill(i0, j0)
-            np.multiply(num, num, out=num)
-            screens.append(float(np.divide(num, den, out=num).max()))
-        cut = max(screens) * (1.0 - _SCREEN_MARGIN)
-        tiles = [tile for tile, s in zip(tiles, screens) if s >= cut]
-    best = 0.0
-    for i0, j0 in tiles:
-        fill(i0, j0)
-        best = max(best, _exact_quotient_max(num, den, exponent))
-    return best
+def _exact_quotient_max(num, den, exponent: float) -> float:
+    """max of |num| / den**exponent, overwriting both buffers: the quotient the
+    norm reports."""
+    np.abs(num, out=num)
+    return float(np.divide(num, _power(den, exponent), out=num).max())
 
 
 def holder_exponent_fit(times, values,

@@ -1,14 +1,20 @@
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from loewner.cli import main, parse_grid
 from loewner.critical import MAX_GRID_NODES, MAX_Y_ZEROS
+from loewner.driving import write_sampled_csv
+from loewner.holder import DENSE_PAIR_LIMIT
 from loewner.repro import SHARP_RATIO_RTOL, SINGULAR_MATCH_RTOL
 from loewner.tangent import solve_params
 
@@ -161,6 +167,21 @@ def test_paper_repro_section_two(capsys):
     assert out.count("PASS") == 2 and "FAIL" not in out
     # each check's line ends in its wall time
     assert all(line.endswith(" s)") for line in out.splitlines())
+
+
+def test_norm_of_a_dense_file_writes_nothing_to_stderr(tmp_path):
+    # a fresh interpreter, so any numpy warning of the all-pairs scan would
+    # reach stderr as it does for a user
+    csv = tmp_path / "walk.csv"
+    rng = np.random.default_rng(3)
+    write_sampled_csv(csv, np.linspace(0.0, 1.0, DENSE_PAIR_LIMIT),
+                      np.cumsum(rng.normal(size=DENSE_PAIR_LIMIT)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-m", "loewner", "norm", "--input", str(csv)],
+                         capture_output=True, text=True, env=env, check=False)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert json.loads(run.stdout)["sup_norm"] > 0.0
 
 
 def test_norm_of_a_file_without_data_rows_is_a_usage_error(tmp_path, capsys):

@@ -9,7 +9,10 @@ from loewner.bridge import halfplane_to_disk
 from loewner.driving import Lind, Scaled
 from loewner.holder import DENSE_PAIR_LIMIT
 
-B, R = holder._TILE_GAPS, holder._TILE_ROWS
+# numpy's floating-point warnings (inf - inf, 0/0, overflow) fail the test
+pytestmark = pytest.mark.filterwarnings("error")
+
+B = holder._BLOCK
 
 
 def brute_force_norm(times, values, exponent):
@@ -74,10 +77,10 @@ def test_gap_scan_equals_reference_scan_at_the_dense_limit(n):
         assert holder_sup_norm(t, v, exponent) == reference_sup_norm(t, v, exponent)
 
 
-@pytest.mark.parametrize("n", sorted({2, B, B + 1, R, R + 1, R + B + 1, 2 * R + 1}))
+@pytest.mark.parametrize("n", sorted({2, B - 1, B, B + 1, 2 * B, 2 * B + 1, 4 * B + 1}))
 def test_tiled_scan_equals_reference_scan_at_tile_edges(n):
-    # sizes that end a tile's rows or gaps on the last sample, or one past it;
-    # DENSE_PAIR_LIMIT itself is the test above
+    # sizes that end a block of the certified scan on the last sample, or one
+    # past it, or hold a single block; DENSE_PAIR_LIMIT itself is the test above
     rng = np.random.default_rng(n)
     t = np.cumsum(rng.uniform(1e-4, 1e-3, n))
     v = np.cumsum(rng.normal(size=n))
@@ -85,17 +88,73 @@ def test_tiled_scan_equals_reference_scan_at_tile_edges(n):
         assert holder_sup_norm(t, v, exponent) == reference_sup_norm(t, v, exponent)
 
 
-@pytest.mark.filterwarnings("error")
-def test_screen_pads_within_the_value_span():
-    # values near 2**512, whose squares overflow while their differences' do
-    # not: the screen runs, and no padded pair may difference against 0. The
-    # last step is the winning pair, in a tile whose gaps run past the end.
+def test_scan_equals_reference_scan_at_extreme_scales():
+    # values near 2**512, whose squares overflow while their differences do
+    # not, on times scaled by 4**-240, 1 and 4**240; the last step is the
+    # winning pair, in the last block, which holds one sample past a block edge
     rng = np.random.default_rng(5)
-    t = np.cumsum(rng.uniform(1e-4, 1e-3, 2 * R + 1))
-    v = 2.0**512 * (1.0 + np.cumsum(rng.normal(size=t.size)) * 2.0**-40)
+    steps = rng.uniform(1e-4, 1e-3, 2 * B + 1)
+    v = 2.0**512 * (1.0 + np.cumsum(rng.normal(size=steps.size)) * 2.0**-40)
     v[-1] = v[-2] + 2.0**482
-    assert holder._screen_is_exact(t, v)
-    assert holder_sup_norm(t, v, 0.5) == reference_sup_norm(t, v, 0.5)
+    for kt in (-240, 0, 240):
+        t = np.cumsum(steps) * 4.0**kt
+        for exponent in (1.0 / 3.0, 0.5, 1.0):
+            assert holder_sup_norm(t, v, exponent) == reference_sup_norm(t, v, exponent)
+
+
+@pytest.mark.parametrize("exponent", [1.0 / 3.0, 0.5])
+def test_scan_finds_a_sup_only_a_block_bound_reaches(exponent):
+    # a rise and a fall like (t - t_p)**0.75, flat elsewhere: the pair spanning
+    # each is its Lip(a) sup. The rise spans the power-of-two gap 128, so the
+    # lower bound sees it; the fall spans 129 samples, ends on a block's first
+    # sample (its row's bound equals its quotient there) and is larger by 1e-4.
+    t = np.arange(12.0 * B)
+    p1, q2 = 5, 10 * B
+    p2 = q2 - 129
+    kink1 = np.clip(t - t[p1], 0.0, 128.0) ** 0.75
+    kink2 = np.clip(t - t[p2], 0.0, 129.0) ** 0.75 * (1.0 + 1e-4) * (128.0 / 129.0) ** (0.75 - exponent)
+    v = kink1 - kink2
+    first = (v[p1 + 128] - v[p1]) / 128.0**exponent
+    got = holder_sup_norm(t, v, exponent)
+    assert got == reference_sup_norm(t, v, exponent)
+    assert got == pytest.approx(first * (1.0 + 1e-4), rel=1e-12)
+
+
+@st.composite
+def adversarial_samples(draw):
+    """Sample sets whose pair quotients tie, or whose sup sits where only the
+    block bounds find it: constant, linear, one spike, tied steps, or a kink
+    (t - t[p])**0.75 from p to q and flat elsewhere, whose Lip(a) sup for
+    a < 0.75 is the pair (p, q) alone, at any index gap. Uniform or random
+    time steps, and sizes around the block edges."""
+    n = draw(st.sampled_from([2, 3, B - 1, B, B + 1, 2 * B, 2 * B + 1, 3 * B - 1])
+             | st.integers(2, 4 * B + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.arange(n, dtype=float) if draw(st.booleans()) else np.cumsum(rng.uniform(1e-3, 1.0, n))
+    family = draw(st.sampled_from(["constant", "linear", "spike", "steps", "kink"]))
+    if family == "constant":
+        v = np.full(n, draw(st.floats(-10.0, 10.0)))
+    elif family == "linear":
+        v = draw(st.floats(-10.0, 10.0)) * t + draw(st.floats(-10.0, 10.0))
+    elif family == "spike":
+        v = np.zeros(n)
+        v[draw(st.integers(0, n - 1))] = draw(st.floats(-10.0, 10.0))
+    elif family == "steps":
+        width = draw(st.integers(1, B + 1))
+        v = np.repeat(rng.integers(-3, 4, n // width + 1), width)[:n].astype(float)
+    else:
+        p = draw(st.integers(0, n - 2))
+        q = draw(st.integers(p + 1, n - 1))
+        v = np.clip(t - t[p], 0.0, t[q] - t[p]) ** 0.75
+    return t, v
+
+
+@settings(max_examples=200)
+@given(adversarial_samples(),
+       st.sampled_from([1.0 / 3.0, 0.5, 1.0]) | st.floats(0.0, 1.0, exclude_min=True))
+def test_scan_equals_reference_scan_on_ties_and_block_edges(samples, exponent):
+    t, v = samples
+    assert holder_sup_norm(t, v, exponent) == reference_sup_norm(t, v, exponent)
 
 
 @given(st.integers(2, 1200), st.integers(0, 2**32 - 1),
@@ -116,24 +175,25 @@ def test_norm_scales_exactly_on_both_sides_of_the_screen_guard(n, seed, kv, kt):
     assert holder_sup_norm(t * 4.0**kt, v * 2.0**kv, 0.5) == base * 2.0**(kv - kt)
 
 
-def test_screen_rescans_at_most_two_tiles_of_a_bridge_term(monkeypatch):
-    # the converted Lind(4) term on 5000 samples: its pairs anchored at the
-    # swallowing end all sit within 1e-4 of the sup, but only the winner's tile
-    # (and at most one tie) is within the screen's margin
+def test_scan_evaluates_few_pairs_of_a_bridge_term(monkeypatch):
+    # the converted Lind(4) term on 5000 samples: the gaps below a block and the
+    # rows whose bound reaches the running best are the only pairs evaluated
+    # exactly, a few percent of the n(n-1)/2
     r = 1.3
     grid = r * r * np.concatenate(([0.0], 1.0 - np.geomspace(1.0, 1e-8, DENSE_PAIR_LIMIT - 1)[1:],
                                    [1.0]))
     u = halfplane_to_disk(Scaled(Lind(4.0), r), 2.0 * r, grid).term
-    assert u.times.size == DENSE_PAIR_LIMIT
-    exact, calls = holder._exact_quotient_max, []
+    n = u.times.size
+    assert n == DENSE_PAIR_LIMIT
+    exact, evaluated = holder._exact_quotient_max, []
 
-    def counted(*args):
-        calls.append(args)
-        return exact(*args)
+    def counted(num, den, exponent):
+        evaluated.append(num.size)
+        return exact(num, den, exponent)
 
     monkeypatch.setattr(holder, "_exact_quotient_max", counted)
     assert holder_sup_norm(u.times, u.table_values, 0.5) == pytest.approx(4.0, abs=0.01)
-    assert 1 <= len(calls) <= 2
+    assert sum(evaluated) <= 0.05 * n * (n - 1) / 2
 
 
 def test_scan_memory_is_linear_in_the_sample_count():

@@ -3,6 +3,9 @@ readers of public fields and properties, and the benchmark's patch points."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -375,3 +378,15 @@ def test_every_error_class_is_raised():
                            for p in sorted(PACKAGE.glob("*.py"))))
     assert classes
     assert sorted(classes - raised) == []
+
+
+def test_package_import_loads_only_numpy_and_the_standard_library():
+    # numpy is the only runtime dependency; scipy, mpmath and hypothesis are
+    # test-side, and a process or thread pool has no place in a package import
+    heavy = ("scipy", "mpmath", "hypothesis", "concurrent.futures", "multiprocessing")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run(
+        [sys.executable, "-c", f"import sys, loewner; print([m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.strip() == "[]"
